@@ -9,6 +9,7 @@
 //	go test -bench . -benchmem | benchjson -out BENCH_abc1234.json
 //	benchjson -in bench.out -out BENCH_abc1234.json
 //	benchjson -diff [-max-regress 25] BENCH_old.json BENCH_new.json
+//	benchjson -gate -in bench.out
 //
 // In convert mode, lines that are not benchmark results (headers, PASS,
 // ok) are ignored. In diff mode, per-benchmark ns/op and allocs/op deltas
@@ -17,7 +18,9 @@
 // non-zero when any shared benchmark's ns/op regressed by more than
 // -max-regress percent, or — with -max-allocs-regress >= 0 — when its
 // allocs/op regressed past that gate (a formerly zero-alloc benchmark
-// that starts allocating always trips the allocs gate).
+// that starts allocating always trips the allocs gate). In gate mode the
+// parsed benchmarks are checked against the fixed allocs/op ceilings in
+// AllocGates, and the exit status is non-zero when any is exceeded.
 package main
 
 import (
@@ -27,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,6 +51,7 @@ func main() {
 	diff := flag.Bool("diff", false, "diff two BENCH_*.json files: benchjson -diff old.json new.json")
 	maxRegress := flag.Float64("max-regress", 25, "with -diff: fail when any shared benchmark's ns/op grew by more than this percentage")
 	maxAllocsRegress := flag.Float64("max-allocs-regress", -1, "with -diff: fail when any shared benchmark's allocs/op grew by more than this percentage (negative disables the allocs gate; 0 also fails formerly zero-alloc benchmarks that now allocate)")
+	gate := flag.Bool("gate", false, "check the parsed benchmarks against the allocs/op ceilings in AllocGates instead of converting")
 	flag.Parse()
 	if *diff {
 		if flag.NArg() != 2 {
@@ -90,6 +95,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "no benchmark lines found in input")
 		os.Exit(1)
 	}
+	if *gate {
+		violations := CheckGates(entries, AllocGates)
+		for _, v := range violations {
+			fmt.Fprintln(os.Stderr, v)
+		}
+		if len(violations) > 0 {
+			os.Exit(1)
+		}
+		return
+	}
 	data, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -104,6 +119,49 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// AllocGate caps allocs/op for every benchmark whose name matches Pattern.
+type AllocGate struct {
+	Pattern   *regexp.Regexp
+	MaxAllocs int64
+}
+
+// AllocGates are the allocs/op ceilings CI enforces on its bench smoke.
+//
+//   - Delta-driven exhaustive verification (undirected and directed) must
+//     stay O(1) allocs per pair, and both simulator cores O(1) allocs per
+//     run, faults off and on (injector setup adds a handful of per-Run
+//     allocations, injection itself none per round). 256 pairs at k=2
+//     cost a few hundred allocs/op plus per-worker setup (base build and
+//     oracle arena, up to 16 workers), well under 8192 on any core count;
+//     the rebuild paths cost ~48000+.
+//   - The certify sweeps run full CONGEST simulations, whose collect
+//     programs allocate their node state per pair: ~106k allocs/op for
+//     mds/collect over 256 pairs and ~257k for hamlb/collect (go1.24,
+//     1 to 16 workers). The ceilings sit at about twice that, so building
+//     a graph at every vertex again (1.78k allocs per mds pair, 15k per
+//     hamlb pair) or rebuilding every instance fails the gate. The
+//     mds-collect pattern also gates the mds-collect-metrics variant.
+var AllocGates = []AllocGate{
+	{regexp.MustCompile(`^Benchmark(VerifyExhaustive|CongestRunCore|DicongestRunCore)`), 8192},
+	{regexp.MustCompile(`^BenchmarkCertifyThroughput/mds-collect`), 215000},
+	{regexp.MustCompile(`^BenchmarkCertifyThroughput/hamlb-collect`), 520000},
+}
+
+// CheckGates returns one message per entry whose allocs/op exceeds the
+// ceiling of a gate its name matches.
+func CheckGates(entries []Entry, gates []AllocGate) []string {
+	var violations []string
+	for _, e := range entries {
+		for _, g := range gates {
+			if g.Pattern.MatchString(e.Name) && e.AllocsPerOp > g.MaxAllocs {
+				violations = append(violations, fmt.Sprintf("allocs/op regression: %s allocates %d/op, gate %s allows %d",
+					e.Name, e.AllocsPerOp, g.Pattern, g.MaxAllocs))
+			}
+		}
+	}
+	return violations
 }
 
 // readEntries loads one BENCH_*.json artifact.

@@ -141,3 +141,28 @@ func TestParseIgnoresGarbage(t *testing.T) {
 		t.Fatalf("parsed %d entries from garbage", len(entries))
 	}
 }
+
+func TestCheckGatesAppliesCeilingsByNamePrefix(t *testing.T) {
+	entries := []Entry{
+		{Name: "BenchmarkVerifyExhaustive/mdslb-k2-4", AllocsPerOp: 8192},
+		{Name: "BenchmarkCongestRunCore/64v-rounds=1024,faults-4", AllocsPerOp: 8193},
+		{Name: "BenchmarkCertifyThroughput/mds-collect-4", AllocsPerOp: 106000},
+		{Name: "BenchmarkCertifyThroughput/mds-collect-metrics-4", AllocsPerOp: 460000},
+		{Name: "BenchmarkCertifyThroughput/hamlb-collect-4", AllocsPerOp: 3900000},
+		{Name: "BenchmarkServeThroughput-4", AllocsPerOp: 1 << 40},
+	}
+	got := CheckGates(entries, AllocGates)
+	want := []string{
+		"BenchmarkCongestRunCore/64v-rounds=1024,faults-4",
+		"BenchmarkCertifyThroughput/mds-collect-metrics-4",
+		"BenchmarkCertifyThroughput/hamlb-collect-4",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("violations %q, want one each for %q", got, want)
+	}
+	for i, name := range want {
+		if !strings.Contains(got[i], name+" allocates") {
+			t.Errorf("violation %d = %q, want %s", i, got[i], name)
+		}
+	}
+}

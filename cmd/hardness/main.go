@@ -194,7 +194,7 @@ func runCertify(ctx context.Context, out io.Writer, famName, algName string, pai
 		}
 	}
 	if err != nil {
-		if rep != nil {
+		if rep != nil && rep.Completed < rep.Total {
 			fmt.Fprintf(out, "  interrupted: %d of %d pairs certified (%v)\n", rep.Completed, rep.Total, err)
 		}
 		return err

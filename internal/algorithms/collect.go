@@ -23,14 +23,17 @@ import (
 // evaluating vertices reconstruct the collected graph and solve locally.
 //
 // Who evaluates depends on the collection mode. With full collection
-// (Keep == nil) every vertex learns its entire connected component, so
-// the minimum-id vertex of each component detects that it is the root and
-// evaluates Eval on its component — disconnected instances (e.g. the MDS
-// family's all-zeros graph) are handled by summing the per-component
-// values, which is exact for component-additive quantities like the
-// domination number. With a Keep filter the collected records no longer
-// witness connectivity, so the graph must be connected and vertex 0 is
-// the sole root, evaluating Eval on the full filtered collection.
+// (Keep == nil) every vertex learns its entire connected component, so at
+// the budget a union-find over its records tells it the component's
+// minimum id without building a graph. That minimum-id vertex is the root:
+// only it reconstructs the graph and evaluates Eval on its component —
+// disconnected instances (e.g. the MDS family's all-zeros graph) are
+// handled by summing the per-component values, which is exact for
+// component-additive quantities like the domination number. With a Keep
+// filter the collected records no longer witness connectivity, so the
+// graph must be connected and vertex 0 is the sole root, evaluating Eval
+// on the full filtered collection. A record the reconstruction rejects is
+// reported by vertex 0, which is a root in either mode.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the classic pipelined-flooding bound frame*(T + D): a record
@@ -53,13 +56,6 @@ type CollectSpec struct {
 	Eval func(collected *graph.Graph) (int64, error)
 }
 
-// collectOutput is a root's Output value (zero value at non-roots).
-type collectOutput struct {
-	root  bool
-	value int64
-	err   error
-}
-
 // CollectFactory builds the gossip program for g and returns the node
 // factory together with the round budget baked into it. bandwidth must be
 // the BandwidthBits the simulation will run with (0 selects the default),
@@ -79,38 +75,41 @@ func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Fa
 	if int64(n)*int64(n)-1 > maxPayload {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph", bandwidth, n)
 	}
-	records, wchunks, err := frameLayout(g, spec.Keep, bandwidth)
+	records, wchunks, err := frameLayout(g.Edges(), edgeRecord, spec.Keep, bandwidth, "edge {%d,%d}")
 	if err != nil {
 		return nil, 0, err
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
 	factory := func(local congest.Local) congest.Node {
-		return newCollectNode(local, n, bandwidth, budget, wchunks, spec)
+		return newCollectNode(local, n, bandwidth, budget, wchunks, records, spec)
 	}
 	return factory, budget, nil
 }
 
-// frameLayout scans the kept edge set and derives the frame shape: the
-// record count T, and the number of chunkBits-wide weight chunks (zero
-// when every kept weight is exactly 1). Shared by CollectFactory and
-// CollectRetryFactory, whose chunks are bandwidth minus the retry header.
-func frameLayout(g *graph.Graph, keep func(u, v int, w int64) bool, chunkBits int) (records, wchunks int, err error) {
+// frameLayout scans the kept records of an instance's edges (or arcs)
+// and derives the frame shape: the record count T, and the number of
+// chunkBits-wide weight chunks (zero when every kept weight is exactly 1).
+// ends maps an item to its record; where formats its endpoints for the
+// negative-weight error. Shared by all three collect factories; the retry
+// variant's chunks are bandwidth minus its header.
+func frameLayout[E any](items []E, ends func(E) (int, int, int64), keep func(a, b int, w int64) bool, chunkBits int, where string) (records, wchunks int, err error) {
 	var maxW int64
 	weighted := false
-	for _, e := range g.Edges() {
-		if keep != nil && !keep(e.U, e.V, e.Weight) {
+	for _, item := range items {
+		a, b, w := ends(item)
+		if keep != nil && !keep(a, b, w) {
 			continue
 		}
-		if e.Weight < 0 {
-			return 0, 0, fmt.Errorf("collect cannot encode negative weight %d on edge {%d,%d}", e.Weight, e.U, e.V)
+		if w < 0 {
+			return 0, 0, fmt.Errorf("collect cannot encode negative weight %d on "+where, w, a, b)
 		}
 		records++
-		if e.Weight != 1 {
+		if w != 1 {
 			weighted = true
 		}
-		if e.Weight > maxW {
-			maxW = e.Weight
+		if w > maxW {
+			maxW = w
 		}
 	}
 	if weighted {
@@ -122,97 +121,41 @@ func frameLayout(g *graph.Graph, keep func(u, v int, w int64) bool, chunkBits in
 	return records, wchunks, nil
 }
 
+func edgeRecord(e graph.Edge) (int, int, int64) { return e.U, e.V, e.Weight }
+
 // CollectTotal sums the root values of a finished run: the single root's
 // value under filtered collection, the per-component values under full
 // collection (exact for component-additive quantities).
 func CollectTotal(res *congest.Result) (int64, error) {
-	var total int64
-	roots := 0
-	for v, out := range res.Outputs {
-		c, ok := out.(collectOutput)
-		if !ok {
-			return 0, fmt.Errorf("vertex %d did not run the collect program", v)
-		}
-		if !c.root {
-			continue
-		}
-		if c.err != nil {
-			return 0, fmt.Errorf("root %d: %w", v, c.err)
-		}
-		roots++
-		total += c.value
-	}
-	if roots == 0 {
-		return 0, fmt.Errorf("no root produced a value")
-	}
-	return total, nil
+	return sumRoots(res.Outputs, "collect")
 }
 
-type collectRecord struct {
-	u, v int
-	w    int64
-}
-
-// collectCore is the record store and root-evaluation logic shared by the
-// gossip collect program and its retransmitting variant: which edges this
-// vertex knows, deduplication, and the end-of-budget reconstruct-and-solve.
+// collectCore is the undirected half of the record store, shared by the
+// gossip collect program and its retransmitting variant: the incident
+// kept edges seeded at wakeup and the end-of-budget reconstruct-and-solve.
 type collectCore struct {
-	local   congest.Local
-	n       int
-	spec    CollectSpec
-	records []collectRecord
-	known   map[int64]bool
-	out     collectOutput
+	recordStore
+	spec CollectSpec
 }
 
 type collectNode struct {
 	collectCore
-	bw      int
-	budget  int
-	wchunks int
-
-	nbrIdx map[int]int
-
-	// Per-neighbor send cursor: which record, and which chunk of its frame.
-	sendRec   []int
-	sendChunk []int
-	// Per-neighbor receive reassembly: pending edge id and accumulated
-	// weight chunks (rcvChunk = 0 means no frame in flight).
-	rcvKey   []int64
-	rcvW     []int64
-	rcvChunk []int
-
 	outbox []congest.Message
 }
 
-func newCollectNode(local congest.Local, n, bw, budget, wchunks int, spec CollectSpec) *collectNode {
-	c := &collectNode{
-		collectCore: newCollectCore(local, n, spec),
-		bw:          bw,
-		budget:      budget,
-		wchunks:     wchunks,
-		nbrIdx:      make(map[int]int, len(local.Neighbors)),
-		sendRec:     make([]int, len(local.Neighbors)),
-		sendChunk:   make([]int, len(local.Neighbors)),
-		rcvKey:      make([]int64, len(local.Neighbors)),
-		rcvW:        make([]int64, len(local.Neighbors)),
-		rcvChunk:    make([]int, len(local.Neighbors)),
+func newCollectNode(local congest.Local, n, bw, budget, wchunks, records int, spec CollectSpec) *collectNode {
+	return &collectNode{
+		collectCore: newCollectCore(local, n, bw, budget, wchunks, records, spec),
 		outbox:      make([]congest.Message, 0, len(local.Neighbors)),
 	}
-	for i, nbr := range local.Neighbors {
-		c.nbrIdx[nbr] = i
-	}
-	return c
 }
 
 // newCollectCore seeds the record store with the vertex's incident kept
 // edges (canonical u < v orientation).
-func newCollectCore(local congest.Local, n int, spec CollectSpec) collectCore {
+func newCollectCore(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec) collectCore {
 	c := collectCore{
-		local: local,
-		n:     n,
-		spec:  spec,
-		known: make(map[int64]bool),
+		recordStore: newRecordStore(local.ID, n, local.Neighbors, spec.Keep == nil, cw, wchunks, budget, records),
+		spec:        spec,
 	}
 	for i, nbr := range local.Neighbors {
 		u, v, w := local.ID, nbr, local.EdgeWeights[i]
@@ -226,103 +169,42 @@ func newCollectCore(local congest.Local, n int, spec CollectSpec) collectCore {
 	return c
 }
 
-func (c *collectCore) key(u, v int) int64 { return int64(u)*int64(c.n) + int64(v) }
-
-func (c *collectCore) learn(u, v int, w int64) {
-	k := c.key(u, v)
-	if !c.known[k] {
-		c.known[k] = true
-		c.records = append(c.records, collectRecord{u: u, v: v, w: w})
-	}
-}
-
 // Round ingests the per-neighbor frame streams and emits the next chunk of
 // each neighbor's stream; at the budget the roots reconstruct and evaluate.
 func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	i := 0
 	for _, msg := range inbox {
-		i, ok := c.nbrIdx[msg.From]
-		if !ok {
-			continue
-		}
-		if c.rcvChunk[i] == 0 {
-			u := int(msg.Payload) / c.n
-			v := int(msg.Payload) % c.n
-			if c.wchunks == 0 {
-				c.learn(u, v, 1)
-			} else {
-				c.rcvKey[i] = msg.Payload
-				c.rcvW[i] = 0
-				c.rcvChunk[i] = 1
-			}
-			continue
-		}
-		c.rcvW[i] |= msg.Payload << uint(c.bw*(c.rcvChunk[i]-1))
-		c.rcvChunk[i]++
-		if c.rcvChunk[i] > c.wchunks {
-			c.learn(int(c.rcvKey[i])/c.n, int(c.rcvKey[i])%c.n, c.rcvW[i])
-			c.rcvChunk[i] = 0
+		var ok bool
+		if i, ok = c.rank(msg.From, i); ok {
+			c.ingest(i, msg.Payload)
 		}
 	}
 	if round >= c.budget {
 		c.finish()
 		return nil, true
 	}
-	mask := int64(1)<<uint(c.bw) - 1
 	c.outbox = c.outbox[:0]
-	for i, nbr := range c.local.Neighbors {
-		if c.sendRec[i] >= len(c.records) {
-			continue
-		}
-		rec := c.records[c.sendRec[i]]
-		var payload int64
-		if c.sendChunk[i] == 0 {
-			payload = c.key(rec.u, rec.v)
-		} else {
-			payload = rec.w >> uint(c.bw*(c.sendChunk[i]-1)) & mask
-		}
-		c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: payload})
-		c.sendChunk[i]++
-		if c.sendChunk[i] > c.wchunks {
-			c.sendChunk[i] = 0
-			c.sendRec[i]++
+	for i, nbr := range c.nbrs {
+		if chunk, ok := c.chunk(i); ok {
+			c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: chunk})
+			c.advance(i)
 		}
 	}
 	return c.outbox, false
 }
 
-// finish decides root status and evaluates. Under filtered collection
-// vertex 0 is the sole root and evaluates the whole collection; under full
-// collection the vertex checks whether it is the minimum id of its
-// component (fully known from the collected records) and evaluates the
-// induced component subgraph.
+// finish elects the root and, at a root, reconstructs the collected graph
+// and evaluates it: the root's component (reindexed) under full
+// collection, the whole filtered collection otherwise.
 func (c *collectCore) finish() {
-	collected := graph.New(c.n)
-	for _, rec := range c.records {
-		if err := collected.AddWeightedEdge(rec.u, rec.v, rec.w); err != nil {
-			if c.local.ID == 0 {
-				c.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected graph: %w", err)}
-			}
-			return
-		}
-	}
-	if c.spec.Keep != nil {
-		if c.local.ID == 0 {
-			c.out.root = true
-			c.out.value, c.out.err = c.spec.Eval(collected)
-		}
+	if !c.elect() {
 		return
 	}
-	comp, _ := collected.Components()
-	mine := comp[c.local.ID]
-	for v := 0; v < c.local.ID; v++ {
-		if comp[v] == mine {
-			return // a smaller id shares the component: not the root
+	collected := graph.New(c.n)
+	c.settle("graph", collected.AddWeightedEdge, func() (int64, error) {
+		if c.full {
+			collected, _ = collected.InducedSubgraph(c.member)
 		}
-	}
-	component, _ := collected.InducedSubgraph(func(v int) bool { return comp[v] == mine })
-	c.out.root = true
-	c.out.value, c.out.err = c.spec.Eval(component)
+		return c.spec.Eval(collected)
+	})
 }
-
-// Output returns the root's collectOutput (zero value elsewhere).
-func (c *collectCore) Output() interface{} { return c.out }

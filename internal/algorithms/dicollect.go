@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"fmt"
-	"math/bits"
 
 	"congesthard/internal/congest"
 	"congesthard/internal/dicongest"
@@ -23,8 +22,9 @@ import (
 //
 // Who evaluates depends on the collection mode. With full collection
 // (Keep == nil) every vertex learns its entire weakly-connected component
-// (links are full duplex, so records flow against arc direction too); the
-// minimum-id vertex of each weak component detects that it is the root and
+// (links are full duplex, so records flow against arc direction too); a
+// union-find over the records at the budget elects the minimum-id vertex
+// of each weak component as its root, and only the root reconstructs and
 // evaluates Eval on the induced component sub-digraph — disconnected
 // instances are handled by summing the per-component values, exact for
 // component-additive quantities. With a Keep filter the collected records
@@ -71,38 +71,19 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	if int64(n)*int64(n)-1 > maxPayload {
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry arc ids of an n=%d digraph", bandwidth, n)
 	}
-	records := 0
-	var maxW int64
-	weighted := false
-	for _, a := range d.Arcs() {
-		if spec.Keep != nil && !spec.Keep(a.From, a.To, a.Weight) {
-			continue
-		}
-		if a.Weight < 0 {
-			return nil, 0, fmt.Errorf("collect cannot encode negative weight %d on arc (%d,%d)", a.Weight, a.From, a.To)
-		}
-		records++
-		if a.Weight != 1 {
-			weighted = true
-		}
-		if a.Weight > maxW {
-			maxW = a.Weight
-		}
-	}
-	wchunks := 0
-	if weighted {
-		wchunks = (bits.Len64(uint64(maxW)) + bandwidth - 1) / bandwidth
-		if wchunks == 0 {
-			wchunks = 1
-		}
+	records, wchunks, err := frameLayout(d.Arcs(), arcRecord, spec.Keep, bandwidth, "arc (%d,%d)")
+	if err != nil {
+		return nil, 0, err
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
 	factory := func(local dicongest.Local) dicongest.Node {
-		return newDiCollectNode(local, n, bandwidth, budget, wchunks, spec)
+		return newDiCollectNode(local, n, bandwidth, budget, wchunks, records, spec)
 	}
 	return factory, budget, nil
 }
+
+func arcRecord(a graph.Arc) (int, int, int64) { return a.From, a.To, a.Weight }
 
 // weaklyConnected reports whether d's underlying undirected structure is
 // connected.
@@ -114,84 +95,23 @@ func weaklyConnected(d *graph.Digraph) bool {
 // value under filtered collection, the per-weak-component values under
 // full collection (exact for component-additive quantities).
 func DiCollectTotal(res *dicongest.Result) (int64, error) {
-	var total int64
-	roots := 0
-	for v, out := range res.Outputs {
-		c, ok := out.(diCollectOutput)
-		if !ok {
-			return 0, fmt.Errorf("vertex %d did not run the directed collect program", v)
-		}
-		if !c.root {
-			continue
-		}
-		if c.err != nil {
-			return 0, fmt.Errorf("root %d: %w", v, c.err)
-		}
-		roots++
-		total += c.value
-	}
-	if roots == 0 {
-		return 0, fmt.Errorf("no root produced a value")
-	}
-	return total, nil
+	return sumRoots(res.Outputs, "directed collect")
 }
 
-// diCollectOutput is a root's Output value (zero value at non-roots).
-type diCollectOutput struct {
-	root  bool
-	value int64
-	err   error
-}
-
-type diCollectRecord struct {
-	from, to int
-	w        int64
-}
-
+// diCollectNode is the directed program over the shared record store:
+// records are arcs (from, to, w), so the store's key from*n + to is
+// already oriented.
 type diCollectNode struct {
-	local   dicongest.Local
-	n       int
-	bw      int
-	budget  int
-	wchunks int
-	spec    DiCollectSpec
-
-	nbrIdx  map[int]int
-	records []diCollectRecord
-	known   map[int64]bool
-
-	// Per-neighbor send cursor: which record, and which chunk of its frame.
-	sendRec   []int
-	sendChunk []int
-	// Per-neighbor receive reassembly: pending arc id and accumulated
-	// weight chunks (rcvChunk = 0 means no frame in flight).
-	rcvKey   []int64
-	rcvW     []int64
-	rcvChunk []int
-
+	recordStore
+	spec   DiCollectSpec
 	outbox []dicongest.Message
-	out    diCollectOutput
 }
 
-func newDiCollectNode(local dicongest.Local, n, bw, budget, wchunks int, spec DiCollectSpec) *diCollectNode {
+func newDiCollectNode(local dicongest.Local, n, bw, budget, wchunks, records int, spec DiCollectSpec) *diCollectNode {
 	c := &diCollectNode{
-		local:     local,
-		n:         n,
-		bw:        bw,
-		budget:    budget,
-		wchunks:   wchunks,
-		spec:      spec,
-		nbrIdx:    make(map[int]int, len(local.Neighbors)),
-		known:     make(map[int64]bool),
-		sendRec:   make([]int, len(local.Neighbors)),
-		sendChunk: make([]int, len(local.Neighbors)),
-		rcvKey:    make([]int64, len(local.Neighbors)),
-		rcvW:      make([]int64, len(local.Neighbors)),
-		rcvChunk:  make([]int, len(local.Neighbors)),
-		outbox:    make([]dicongest.Message, 0, len(local.Neighbors)),
-	}
-	for i, nbr := range local.Neighbors {
-		c.nbrIdx[nbr] = i
+		recordStore: newRecordStore(local.ID, n, local.Neighbors, spec.Keep == nil, bw, wchunks, budget, records),
+		spec:        spec,
+		outbox:      make([]dicongest.Message, 0, len(local.Neighbors)),
 	}
 	for i, to := range local.OutNeighbors {
 		c.consider(local.ID, to, local.OutWeights[i])
@@ -208,103 +128,43 @@ func (c *diCollectNode) consider(from, to int, w int64) {
 	}
 }
 
-func (c *diCollectNode) key(from, to int) int64 { return int64(from)*int64(c.n) + int64(to) }
-
-func (c *diCollectNode) learn(from, to int, w int64) {
-	k := c.key(from, to)
-	if !c.known[k] {
-		c.known[k] = true
-		c.records = append(c.records, diCollectRecord{from: from, to: to, w: w})
-	}
-}
-
 // Round ingests the per-neighbor frame streams and emits the next chunk of
 // each neighbor's stream; at the budget the roots reconstruct and evaluate.
 func (c *diCollectNode) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
+	i := 0
 	for _, msg := range inbox {
-		i, ok := c.nbrIdx[msg.From]
-		if !ok {
-			continue
-		}
-		if c.rcvChunk[i] == 0 {
-			from := int(msg.Payload) / c.n
-			to := int(msg.Payload) % c.n
-			if c.wchunks == 0 {
-				c.learn(from, to, 1)
-			} else {
-				c.rcvKey[i] = msg.Payload
-				c.rcvW[i] = 0
-				c.rcvChunk[i] = 1
-			}
-			continue
-		}
-		c.rcvW[i] |= msg.Payload << uint(c.bw*(c.rcvChunk[i]-1))
-		c.rcvChunk[i]++
-		if c.rcvChunk[i] > c.wchunks {
-			c.learn(int(c.rcvKey[i])/c.n, int(c.rcvKey[i])%c.n, c.rcvW[i])
-			c.rcvChunk[i] = 0
+		var ok bool
+		if i, ok = c.rank(msg.From, i); ok {
+			c.ingest(i, msg.Payload)
 		}
 	}
 	if round >= c.budget {
 		c.finish()
 		return nil, true
 	}
-	mask := int64(1)<<uint(c.bw) - 1
 	c.outbox = c.outbox[:0]
-	for i, nbr := range c.local.Neighbors {
-		if c.sendRec[i] >= len(c.records) {
-			continue
-		}
-		rec := c.records[c.sendRec[i]]
-		var payload int64
-		if c.sendChunk[i] == 0 {
-			payload = c.key(rec.from, rec.to)
-		} else {
-			payload = rec.w >> uint(c.bw*(c.sendChunk[i]-1)) & mask
-		}
-		c.outbox = append(c.outbox, dicongest.Message{To: nbr, Payload: payload})
-		c.sendChunk[i]++
-		if c.sendChunk[i] > c.wchunks {
-			c.sendChunk[i] = 0
-			c.sendRec[i]++
+	for i, nbr := range c.nbrs {
+		if chunk, ok := c.chunk(i); ok {
+			c.outbox = append(c.outbox, dicongest.Message{To: nbr, Payload: chunk})
+			c.advance(i)
 		}
 	}
 	return c.outbox, false
 }
 
-// finish decides root status and evaluates. Under filtered collection
-// vertex 0 is the sole root and evaluates the whole collection; under full
-// collection the vertex checks whether it is the minimum id of its weak
-// component (fully known from the collected records) and evaluates the
-// induced component sub-digraph.
+// finish elects the root and, at a root, reconstructs the collected
+// digraph and evaluates it: the root's weak component (the induced
+// sub-digraph) under full collection, the whole filtered collection
+// otherwise.
 func (c *diCollectNode) finish() {
-	collected := graph.NewDigraph(c.n)
-	for _, rec := range c.records {
-		if err := collected.AddWeightedArc(rec.from, rec.to, rec.w); err != nil {
-			if c.local.ID == 0 {
-				c.out = diCollectOutput{root: true, err: fmt.Errorf("reconstructing collected digraph: %w", err)}
-			}
-			return
-		}
-	}
-	if c.spec.Keep != nil {
-		if c.local.ID == 0 {
-			c.out.root = true
-			c.out.value, c.out.err = c.spec.Eval(collected)
-		}
+	if !c.elect() {
 		return
 	}
-	comp, _ := collected.Underlying().Components()
-	mine := comp[c.local.ID]
-	for v := 0; v < c.local.ID; v++ {
-		if comp[v] == mine {
-			return // a smaller id shares the component: not the root
+	collected := graph.NewDigraph(c.n)
+	c.settle("digraph", collected.AddWeightedArc, func() (int64, error) {
+		if c.full {
+			collected, _ = collected.InducedSubdigraph(c.member)
 		}
-	}
-	component, _ := collected.InducedSubdigraph(func(v int) bool { return comp[v] == mine })
-	c.out.root = true
-	c.out.value, c.out.err = c.spec.Eval(component)
+		return c.spec.Eval(collected)
+	})
 }
-
-// Output returns the root's diCollectOutput (zero value elsewhere).
-func (c *diCollectNode) Output() interface{} { return c.out }

@@ -77,7 +77,7 @@ func TestDiCollectDisconnectedComponentsSum(t *testing.T) {
 	}
 	roots := 0
 	for _, out := range res.Outputs {
-		if c, ok := out.(diCollectOutput); ok && c.root {
+		if c, ok := out.(collectOutput); ok && c.root {
 			roots++
 		}
 	}

@@ -26,8 +26,8 @@ import (
 // infinitely often, the alternating-bit protocol transfers the stream
 // exactly. The round budget is RetryBudgetFactor times the fault-free
 // collect budget, covering the protocol's inherent round trip per chunk
-// plus retransmissions at bounded drop rates; the collection, root
-// election and evaluation logic is collectCore, shared with collect.
+// plus retransmissions at bounded drop rates; the record store, root
+// election and evaluation are collectCore's, shared with collect.
 
 const (
 	// retryHeaderBits is the per-frame header: hasData, seq, ack.
@@ -85,66 +85,43 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph beside the %d retry header bits (need >= %d)",
 			bandwidth, n, retryHeaderBits, CollectRetryMinBandwidth(n))
 	}
-	records, wchunks, err := frameLayout(g, spec.Keep, cw)
+	records, wchunks, err := frameLayout(g.Edges(), edgeRecord, spec.Keep, cw, "edge {%d,%d}")
 	if err != nil {
 		return nil, 0, err
 	}
 	frame := 1 + wchunks
 	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
 	factory := func(local congest.Local) congest.Node {
-		return newCollectRetryNode(local, n, cw, budget, wchunks, spec)
+		return newCollectRetryNode(local, n, cw, budget, wchunks, records, spec)
 	}
 	return factory, budget, nil
 }
 
+// arq is one neighbor's alternating-bit state: the sequence bit of our
+// chunk in flight, the bit expected next from the neighbor, and the last
+// one accepted (echoed as the ack on every outgoing frame).
+type arq struct {
+	curSeq, expSeq, lastAcc byte
+}
+
 type collectRetryNode struct {
 	collectCore
-	cw      int // data bits per chunk (bandwidth minus header)
-	budget  int
-	wchunks int
-
-	nbrIdx map[int]int
-	// Sender state per neighbor: stream cursor plus the alternating bit
-	// of the chunk in flight.
-	sendRec   []int
-	sendChunk []int
-	curSeq    []byte
-	// Receiver state per neighbor: the sequence bit expected next, the
-	// last one accepted (echoed as the ack on every outgoing frame), and
-	// the frame reassembly registers.
-	expSeq   []byte
-	lastAcc  []byte
-	rcvKey   []int64
-	rcvW     []int64
-	rcvChunk []int
-
+	arq    []arq
 	outbox []congest.Message
 }
 
-func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks int, spec CollectSpec) *collectRetryNode {
+func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec) *collectRetryNode {
 	deg := len(local.Neighbors)
 	c := &collectRetryNode{
-		collectCore: newCollectCore(local, n, spec),
-		cw:          cw,
-		budget:      budget,
-		wchunks:     wchunks,
-		nbrIdx:      make(map[int]int, deg),
-		sendRec:     make([]int, deg),
-		sendChunk:   make([]int, deg),
-		curSeq:      make([]byte, deg),
-		expSeq:      make([]byte, deg),
-		lastAcc:     make([]byte, deg),
-		rcvKey:      make([]int64, deg),
-		rcvW:        make([]int64, deg),
-		rcvChunk:    make([]int, deg),
+		collectCore: newCollectCore(local, n, cw, budget, wchunks, records, spec),
+		arq:         make([]arq, deg),
 		outbox:      make([]congest.Message, 0, deg),
 	}
-	for i, nbr := range local.Neighbors {
-		c.nbrIdx[nbr] = i
+	for i := range c.arq {
 		// lastAcc starts opposite the first data sequence bit, so the ack
 		// on a frame sent before anything was accepted cannot advance the
 		// neighbor's stream.
-		c.lastAcc[i] = 1
+		c.arq[i].lastAcc = 1
 	}
 	return c
 }
@@ -154,69 +131,43 @@ func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks int, spec C
 // retransmitted until acknowledged, or a pure-ack frame when the stream
 // is drained. At the budget the roots reconstruct and evaluate.
 func (c *collectRetryNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	i := 0
 	for _, msg := range inbox {
-		i, ok := c.nbrIdx[msg.From]
-		if !ok {
+		var ok bool
+		if i, ok = c.rank(msg.From, i); !ok {
 			continue
 		}
 		ack := byte(msg.Payload & 1)
 		seq := byte(msg.Payload >> 1 & 1)
 		hasData := msg.Payload>>2&1 == 1
-		chunk := msg.Payload >> retryHeaderBits
+		q := &c.arq[i]
 
 		// The piggybacked ack echoes the last sequence bit the neighbor
 		// accepted from us; a match with the in-flight chunk's bit means
 		// delivery, so flip the bit and advance the cursor. Stale acks
 		// (from retransmitted or delayed frames) carry the old bit and
 		// cannot advance the stream twice.
-		if c.sendRec[i] < len(c.records) && ack == c.curSeq[i] {
-			c.curSeq[i] ^= 1
-			c.sendChunk[i]++
-			if c.sendChunk[i] > c.wchunks {
-				c.sendChunk[i] = 0
-				c.sendRec[i]++
-			}
+		if c.links[i].sendRec < len(c.records) && ack == q.curSeq {
+			q.curSeq ^= 1
+			c.advance(i)
 		}
 
-		if !hasData || seq != c.expSeq[i] {
+		if !hasData || seq != q.expSeq {
 			continue // pure ack, or a duplicate of an accepted chunk
 		}
-		c.lastAcc[i] = seq
-		c.expSeq[i] ^= 1
-		if c.rcvChunk[i] == 0 {
-			if c.wchunks == 0 {
-				c.learn(int(chunk)/c.n, int(chunk)%c.n, 1)
-			} else {
-				c.rcvKey[i] = chunk
-				c.rcvW[i] = 0
-				c.rcvChunk[i] = 1
-			}
-			continue
-		}
-		c.rcvW[i] |= chunk << uint(c.cw*(c.rcvChunk[i]-1))
-		c.rcvChunk[i]++
-		if c.rcvChunk[i] > c.wchunks {
-			c.learn(int(c.rcvKey[i])/c.n, int(c.rcvKey[i])%c.n, c.rcvW[i])
-			c.rcvChunk[i] = 0
-		}
+		q.lastAcc = seq
+		q.expSeq ^= 1
+		c.ingest(i, msg.Payload>>retryHeaderBits)
 	}
 	if round >= c.budget {
 		c.finish()
 		return nil, true
 	}
-	mask := int64(1)<<uint(c.cw) - 1
 	c.outbox = c.outbox[:0]
-	for i, nbr := range c.local.Neighbors {
-		payload := int64(c.lastAcc[i])
-		if c.sendRec[i] < len(c.records) {
-			rec := c.records[c.sendRec[i]]
-			var chunk int64
-			if c.sendChunk[i] == 0 {
-				chunk = c.key(rec.u, rec.v)
-			} else {
-				chunk = rec.w >> uint(c.cw*(c.sendChunk[i]-1)) & mask
-			}
-			payload |= chunk<<retryHeaderBits | 1<<2 | int64(c.curSeq[i])<<1
+	for i, nbr := range c.nbrs {
+		payload := int64(c.arq[i].lastAcc)
+		if chunk, ok := c.chunk(i); ok {
+			payload |= chunk<<retryHeaderBits | 1<<2 | int64(c.arq[i].curSeq)<<1
 		}
 		c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: payload})
 	}

@@ -164,7 +164,7 @@ func CertifyDigraphCtx(ctx context.Context, fam lbfamily.DigraphFamily, alg Digr
 		}
 		report.Completed = completed
 		report.finalize(f)
-		return report, nil
+		return report, report.checkBound()
 	}
 
 	// Sharded sweep (the default) — see shard.go and the CertifyCtx twin.

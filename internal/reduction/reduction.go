@@ -144,7 +144,8 @@ type PairReport struct {
 // known deterministic communication complexity of the family's function at
 // input length K (0 if the function is not in the known table). An exact
 // algorithm must satisfy SimBits >= CCBound — that inequality is the lower
-// bound.
+// bound, and Certify returns a *BoundViolationError with an exhaustive,
+// mismatch-free report that breaks it.
 type Report struct {
 	Family     string
 	Algorithm  string
@@ -319,7 +320,7 @@ func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Con
 		}
 		report.Completed = completed
 		report.finalize(f)
-		return report, nil
+		return report, report.checkBound()
 	}
 
 	// Sharded sweep (the default): workers claim Gray-code columns — for
@@ -412,6 +413,33 @@ func (r *Report) finalize(f comm.Function) {
 	if cc, ok := comm.KnownDeterministicCC(f, r.Stats.K); ok {
 		r.CCBound = cc
 	}
+}
+
+// BoundViolationError reports a certification that contradicts Theorem
+// 1.1: an exact algorithm decided every pair of an exhaustive sweep
+// correctly within a simulation budget 2·T·B·|E_cut| below CC(f). The
+// budget bounds the cost of a two-party protocol deciding f, so such a
+// report means the round or cut accounting is wrong, not that the lower
+// bound fell. Certify returns it alongside the (complete) report.
+type BoundViolationError struct {
+	Family    string
+	Algorithm string
+	SimBits   int64
+	CCBound   float64
+}
+
+func (e *BoundViolationError) Error() string {
+	return fmt.Sprintf("Theorem 1.1 violated: %s/%s decided f exactly with 2*T*B*|E_cut| = %d bits < CC(f) = %.0f",
+		e.Family, e.Algorithm, e.SimBits, e.CCBound)
+}
+
+// checkBound enforces SimBits >= CCBound on an exhaustive, exact,
+// mismatch-free report (the only kind Theorem 1.1 speaks about).
+func (r *Report) checkBound() error {
+	if r.Exact && r.Exhaustive && r.Mismatches == 0 && float64(r.SimBits) < r.CCBound {
+		return &BoundViolationError{Family: r.Family, Algorithm: r.Algorithm, SimBits: r.SimBits, CCBound: r.CCBound}
+	}
+	return nil
 }
 
 // certifyPairs selects the certified input pairs: the full 2^(2K) cube in

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -217,5 +218,32 @@ func TestCertifyExhaustiveRequiresSmallK(t *testing.T) {
 	}
 	if _, err := Certify(fam, CollectMDS(fam), Config{Pairs: 3, Seed: 9}); err != nil {
 		t.Errorf("sampled certification at K=16 failed: %v", err)
+	}
+}
+
+func TestCheckBoundFlagsTheorem11Violations(t *testing.T) {
+	violating := Report{Family: "mds", Algorithm: "collect", Exact: true, Exhaustive: true, SimBits: 10, CCBound: 16}
+	err := violating.checkBound()
+	var bv *BoundViolationError
+	if !errors.As(err, &bv) {
+		t.Fatalf("checkBound = %v, want *BoundViolationError", err)
+	}
+	if bv.SimBits != 10 || bv.CCBound != 16 || bv.Family != "mds" || bv.Algorithm != "collect" {
+		t.Errorf("violation carries %+v", *bv)
+	}
+	// The theorem speaks only about exact, exhaustive, mismatch-free
+	// reports; a budget at or above CC(f) is fine.
+	for name, mutate := range map[string]func(r *Report){
+		"within budget": func(r *Report) { r.SimBits = 16 },
+		"approximate":   func(r *Report) { r.Exact = false },
+		"sampled":       func(r *Report) { r.Exhaustive = false },
+		"mismatches":    func(r *Report) { r.Mismatches = 1 },
+		"unknown CC":    func(r *Report) { r.CCBound = 0 },
+	} {
+		r := violating
+		mutate(&r)
+		if err := r.checkBound(); err != nil {
+			t.Errorf("%s: checkBound = %v, want nil", name, err)
+		}
 	}
 }

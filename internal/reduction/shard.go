@@ -256,7 +256,7 @@ func resolveSweep(report *Report, outcomes []sweepOutcome, ctxErr error, f comm.
 	}
 	report.Completed = done
 	report.finalize(f)
-	return report, nil
+	return report, report.checkBound()
 }
 
 // storeMinIdx lowers m to idx if idx is smaller — the first-error CAS
