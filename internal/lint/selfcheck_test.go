@@ -35,21 +35,25 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 // BenchmarkDicongestRunCore, the VerifyExhaustive delta workers, the
 // oracle recursions, the delta toggles). If one of these is renamed or
 // loses its directive, hotalloc silently stops guarding the loop the
-// benchmark measures — this test makes that drift loud.
+// benchmark measures — this test makes that drift loud. A target with a
+// recv matches only methods on that receiver type, for files where the
+// name alone is ambiguous (hamilton.go has two search methods).
 func TestHotpathDirectiveSync(t *testing.T) {
 	targets := []struct {
 		file string
+		recv string
 		fn   string
 	}{
-		{"internal/congest/congest.go", "Run"},
-		{"internal/dicongest/dicongest.go", "Run"},
-		{"internal/lbfamily/lbfamily.go", "deltaWorker"},
-		{"internal/lbfamily/digraph.go", "digraphDeltaWorker"},
-		{"internal/solver/independent.go", "recurse"},
-		{"internal/solver/mds.go", "recurse"},
-		{"internal/solver/maxcut.go", "recurse"},
-		{"internal/graph/delta.go", "ToggleEdge"},
-		{"internal/graph/deltadigraph.go", "ToggleArc"},
+		{"internal/congest/congest.go", "", "Run"},
+		{"internal/dicongest/dicongest.go", "", "Run"},
+		{"internal/lbfamily/lbfamily.go", "", "deltaWorker"},
+		{"internal/lbfamily/digraph.go", "", "digraphDeltaWorker"},
+		{"internal/solver/independent.go", "", "recurse"},
+		{"internal/solver/mds.go", "", "recurse"},
+		{"internal/solver/maxcut.go", "", "recurse"},
+		{"internal/solver/hamilton.go", "ham64", "search"},
+		{"internal/graph/delta.go", "", "ToggleEdge"},
+		{"internal/graph/deltadigraph.go", "", "ToggleArc"},
 	}
 	for _, tgt := range targets {
 		path := filepath.Join("..", "..", filepath.FromSlash(tgt.file))
@@ -64,7 +68,7 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		found := false
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != tgt.fn {
+			if !ok || fd.Name.Name != tgt.fn || (tgt.recv != "" && recvName(fd) != tgt.recv) {
 				continue
 			}
 			found = true
@@ -76,4 +80,20 @@ func TestHotpathDirectiveSync(t *testing.T) {
 			t.Errorf("%s: function %s not found — renamed? update the directive and this test", tgt.file, tgt.fn)
 		}
 	}
+}
+
+// recvName returns the receiver base type of a method declaration ("" for
+// a plain function).
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

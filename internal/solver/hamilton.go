@@ -26,8 +26,25 @@ func DirectedHamiltonianPath(d *graph.Digraph) ([]int, bool, error) {
 }
 
 // DirectedHamiltonianPathFrom searches for a directed Hamiltonian path
-// starting at start and, if end >= 0, ending at end.
+// starting at start and, if end >= 0, ending at end. Digraphs of 2 to 64
+// vertices run the single-word bitset search (ham64, on the stack, so the
+// returned path is the call's only allocation); all others run the
+// general slice backtracker (hamSearch).
 func DirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) ([]int, bool, error) {
+	if n := d.N(); n >= 2 && n <= 64 {
+		if err := checkEndpoints(n, start, end); err != nil {
+			return nil, false, err
+		}
+		var b ham64
+		if !b.run(d, start, end) {
+			return nil, false, nil
+		}
+		path := make([]int, n)
+		for i := range path {
+			path[i] = int(b.path[i])
+		}
+		return path, true, nil
+	}
 	var o HamiltonOracle
 	path, found, err := o.pathFrom(d, start, end)
 	if err != nil || !found {
@@ -36,17 +53,23 @@ func DirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) ([]int, bool,
 	return append([]int(nil), path...), true, nil
 }
 
-// HamiltonOracle is a reusable directed-Hamiltonian-path evaluator: it
-// owns the backtracking search's scratch (visited bitset, BFS queue and
-// epoch marks, path stack), so a verification worker holding one across
-// many same-size digraphs pays no per-call allocation. For digraphs of at
-// most 64 vertices the decision variant additionally switches to a
-// single-word bitset search — adjacency rows, visited set, degree-death
-// tests and both reachability prunes are all word operations — which is
-// what makes the delta-driven hamlb verification several times faster
-// than its rebuild baseline. The package-level functions delegate to a
-// fresh oracle; the lower-bound-family delta workers keep one warm. The
-// zero value is ready to use. Not safe for concurrent use.
+// checkEndpoints rejects a start outside [0, n) or an end >= n.
+func checkEndpoints(n, start, end int) error {
+	if start < 0 || start >= n || end >= n {
+		return fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
+	}
+	return nil
+}
+
+// HamiltonOracle is a reusable directed-Hamiltonian-path decision
+// evaluator: it owns the scratch of both searches — the single-word
+// bitset search (ham64) that answers every digraph of 2 to 64 vertices,
+// and the general slice backtracker (hamSearch: visited bitset, BFS queue
+// and epoch marks, path stack) for the rest — so a verification worker
+// holding one across many same-size digraphs pays no per-call
+// allocation. The hamlb delta workers keep one warm; the package-level
+// functions need no oracle, since ham64 fits on their stack. The zero
+// value is ready to use. Not safe for concurrent use.
 type HamiltonOracle struct {
 	s hamSearch
 	b ham64
@@ -57,8 +80,8 @@ type HamiltonOracle struct {
 // reusing the oracle's scratch.
 func (o *HamiltonOracle) HasDirectedHamiltonianPathFrom(d *graph.Digraph, start, end int) (bool, error) {
 	if n := d.N(); n >= 2 && n <= 64 {
-		if start < 0 || start >= n || end >= n {
-			return false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
+		if err := checkEndpoints(n, start, end); err != nil {
+			return false, err
 		}
 		return o.b.run(d, start, end), nil
 	}
@@ -73,8 +96,8 @@ func (o *HamiltonOracle) pathFrom(d *graph.Digraph, start, end int) ([]int, bool
 	if n > 4096 {
 		return nil, false, fmt.Errorf("hamiltonian search limited to 4096 vertices, got %d", n)
 	}
-	if start < 0 || start >= n || end >= n {
-		return nil, false, fmt.Errorf("endpoints out of range: start=%d end=%d n=%d", start, end, n)
+	if err := checkEndpoints(n, start, end); err != nil {
+		return nil, false, err
 	}
 	if n == 1 {
 		if end == 0 || end < 0 {
@@ -279,7 +302,8 @@ func (s *hamSearch) search(head int) bool {
 // handful of word operations per expanded node instead of adjacency scans
 // and queue-based BFS. Verdicts match hamSearch exactly (the prunes are
 // the same necessary conditions; only the branch order differs, which
-// cannot change existence).
+// cannot change existence). The partial path is kept in path[:depth], so
+// a successful run leaves the Hamiltonian path found in path[:n].
 type ham64 struct {
 	n    int
 	end  int
@@ -288,10 +312,12 @@ type ham64 struct {
 	in   [64]uint64
 
 	visited uint64
+	path    [64]uint8
 }
 
 // run decides whether d (2 <= n <= 64 vertices) has a directed
-// Hamiltonian path from start to end (end < 0: any endpoint).
+// Hamiltonian path from start to end (end < 0: any endpoint); when it
+// does, the path is left in b.path[:n].
 func (b *ham64) run(d *graph.Digraph, start, end int) bool {
 	n := d.N()
 	b.n, b.end = n, end
@@ -311,10 +337,13 @@ func (b *ham64) run(d *graph.Digraph, start, end int) bool {
 		b.full = uint64(1)<<uint(n) - 1
 	}
 	b.visited = uint64(1) << uint(start)
+	b.path[0] = uint8(start)
 	return b.search(start, 1)
 }
 
 // search extends a partial path of the given length ending at head.
+//
+//hardness:hotpath
 func (b *ham64) search(head, depth int) bool {
 	if depth == b.n {
 		return b.end < 0 || head == b.end
@@ -379,26 +408,30 @@ func (b *ham64) search(head, depth int) bool {
 			return false
 		}
 	}
-	try := func(next int) bool {
-		if b.end >= 0 && next == b.end && depth != b.n-1 {
-			return false // reaching end early wastes it
-		}
-		bit := uint64(1) << uint(next)
-		b.visited |= bit
-		if b.search(next, depth+1) {
-			return true
-		}
-		b.visited &^= bit
-		return false
-	}
 	if forced >= 0 {
-		return try(forced)
+		return b.try(forced, depth)
 	}
 	for m := b.out[head] & unvisited; m != 0; m &= m - 1 {
-		if try(bits.TrailingZeros64(m)) {
+		if b.try(bits.TrailingZeros64(m), depth) {
 			return true
 		}
 	}
+	return false
+}
+
+// try appends next to a partial path of the given length and searches on,
+// undoing the step if that fails.
+func (b *ham64) try(next, depth int) bool {
+	if b.end >= 0 && next == b.end && depth != b.n-1 {
+		return false // reaching end early wastes it
+	}
+	bit := uint64(1) << uint(next)
+	b.visited |= bit
+	b.path[depth] = uint8(next)
+	if b.search(next, depth+1) {
+		return true
+	}
+	b.visited &^= bit
 	return false
 }
 

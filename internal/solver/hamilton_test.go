@@ -209,33 +209,71 @@ func TestIsHamiltonianCycleValidation(t *testing.T) {
 	}
 }
 
-// TestHamiltonOracleMatchesGeneralSearch cross-checks the oracle's n <= 64
-// bitset decision path against the general backtracking search on random
-// digraphs, for both fixed-end and free-end queries.
+// TestHamiltonOracleMatchesGeneralSearch cross-checks the single-word
+// bitset search — both DirectedHamiltonianPathFrom and the oracle's
+// decision variant run it for 2 <= n <= 64 — against the general slice
+// backtracker, on random digraphs and on directed paths with random chords
+// at the n = 63 and n = 64 word boundaries, for free ends, fixed ends and
+// end == start. Every returned path must be valid with the requested
+// endpoints.
 func TestHamiltonOracleMatchesGeneralSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var o HamiltonOracle
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(6)
-		d := graph.RandomDigraph(n, 0.3+0.3*rng.Float64(), rng)
-		start := rng.Intn(n)
-		end := rng.Intn(n+1) - 1 // -1 means any endpoint
-		if end == start {
-			end = -1
-		}
-		_, want, err := DirectedHamiltonianPathFrom(d, start, end)
+	var o, ref HamiltonOracle
+	check := func(d *graph.Digraph, start, end int) {
+		t.Helper()
+		_, want, err := ref.pathFrom(d, start, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := o.HasDirectedHamiltonianPathFrom(d, start, end)
+		path, found, err := DirectedHamiltonianPathFrom(d, start, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trial %d (n=%d start=%d end=%d): oracle %v, search %v",
-				trial, n, start, end, got, want)
+		has, err := o.HasDirectedHamiltonianPathFrom(d, start, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found != want || has != want {
+			t.Fatalf("n=%d start=%d end=%d: path search %v, decision %v, slice search %v",
+				d.N(), start, end, found, has, want)
+		}
+		if found && !isPathBetween(d, path, start, end) {
+			t.Fatalf("n=%d start=%d end=%d: invalid path %v", d.N(), start, end, path)
 		}
 	}
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(8)
+		d := graph.RandomDigraph(n, 0.3+0.3*rng.Float64(), rng)
+		start := rng.Intn(n)
+		check(d, start, rng.Intn(n+1)-1)
+		check(d, start, -1)
+		check(d, start, start)
+	}
+	for _, n := range []int{63, 64} {
+		for trial := 0; trial < 4; trial++ {
+			d := graph.NewDigraph(n)
+			for v := 0; v+1 < n; v++ {
+				d.MustAddArc(v, v+1)
+			}
+			for c := 0; c < n/2; c++ {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v && !d.HasArc(u, v) {
+					d.MustAddArc(u, v)
+				}
+			}
+			check(d, 0, n-1)
+			check(d, 0, -1)
+			check(d, 0, 0)
+			check(d, 1, n-1)
+			check(d, n-1, -1)
+		}
+	}
+}
+
+// isPathBetween reports whether path is a directed Hamiltonian path of d
+// from start to end (end < 0: any endpoint).
+func isPathBetween(d *graph.Digraph, path []int, start, end int) bool {
+	return IsDirectedHamiltonianPath(d, path) && path[0] == start &&
+		(end < 0 || path[len(path)-1] == end)
 }
 
 // TestHamiltonOracleLargeFallback exercises the oracle's n > 64 general
