@@ -129,8 +129,8 @@ func TestMarkBaseAndReset(t *testing.T) {
 }
 
 // TestIncrementalHashMaintenance is the contract the delta verifier relies
-// on: folding journaled EdgeDeltas into a previously computed hash yields
-// exactly the from-scratch hash of the mutated graph.
+// on: FoldJournal folding journaled EdgeDeltas into previously computed
+// SideHashes yields exactly the from-scratch hashes of the mutated graph.
 func TestIncrementalHashMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 14
@@ -148,9 +148,10 @@ func TestIncrementalHashMaintenance(t *testing.T) {
 			}
 		}
 	}
-	cut := g.CutHash(side)
-	within := g.HashWithin(side)
-	other64 := g.HashWithin(other)
+	h := g.SideHashes(side)
+	if h != (SideHashes{Cut: g.CutHash(side), A: g.HashWithin(side), B: g.HashWithin(other)}) {
+		t.Fatal("SideHashes disagrees with CutHash/HashWithin")
+	}
 	g.StartJournal()
 	for step := 0; step < 300; step++ {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -164,25 +165,17 @@ func TestIncrementalHashMaintenance(t *testing.T) {
 		} else if _, err := g.ToggleEdge(u, v, int64(rng.Intn(6)+1)); err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range g.Journal() {
-			h := EdgeHash(d.U, d.V, d.W)
-			switch {
-			case side[d.U] != side[d.V]:
-				cut ^= h
-			case side[d.U]:
-				within ^= h
-			default:
-				other64 ^= h
-			}
+		g.FoldJournal(side, &h)
+		if len(g.Journal()) != 0 {
+			t.Fatalf("step %d: FoldJournal left the journal uncleared", step)
 		}
-		g.ClearJournal()
-		if cut != g.CutHash(side) {
+		if h.Cut != g.CutHash(side) {
 			t.Fatalf("step %d: incremental CutHash diverged", step)
 		}
-		if within != g.HashWithin(side) {
+		if h.A != g.HashWithin(side) {
 			t.Fatalf("step %d: incremental HashWithin(side) diverged", step)
 		}
-		if other64 != g.HashWithin(other) {
+		if h.B != g.HashWithin(other) {
 			t.Fatalf("step %d: incremental HashWithin(other) diverged", step)
 		}
 	}
@@ -222,8 +215,7 @@ func TestVertexWeightJournalAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	side := []bool{true, true, false, false}
-	aH := g.HashWithin(side)
-	bH := g.HashWithin([]bool{false, false, true, true})
+	h := g.SideHashes(side)
 	g.StartJournal()
 	g.MarkBase()
 	steps := [][2]int64{{0, 5}, {2, 1}, {2, 4}, {3, 3}}
@@ -240,18 +232,10 @@ func TestVertexWeightJournalAndReset(t *testing.T) {
 	if len(g.VertexJournal()) != before {
 		t.Fatal("no-op SetVertexWeight was journaled")
 	}
-	for _, d := range g.VertexJournal() {
-		h := VertexHash(d.V, d.W)
-		if side[d.V] {
-			aH ^= h
-		} else {
-			bH ^= h
-		}
-	}
-	if aH != g.HashWithin(side) || bH != g.HashWithin([]bool{false, false, true, true}) {
+	g.FoldJournal(side, &h)
+	if h.A != g.HashWithin(side) || h.B != g.HashWithin([]bool{false, false, true, true}) || h != g.SideHashes(side) {
 		t.Fatal("vertex-weight journal fold diverged from recomputed hashes")
 	}
-	g.ClearJournal()
 	if len(g.VertexJournal()) != 0 {
 		t.Fatal("ClearJournal kept vertex entries")
 	}

@@ -178,8 +178,8 @@ func TestDigraphJournalRecordsToggles(t *testing.T) {
 }
 
 // TestDigraphIncrementalHashMaintenance is the contract the directed
-// delta-driven verifier rests on: folding ArcHash of each journaled delta
-// into CutHash/HashWithin reproduces the recomputed hashes.
+// delta-driven verifier rests on: FoldJournal folding each journaled arc
+// delta into SideHashes reproduces the recomputed CutHash/HashWithin.
 func TestDigraphIncrementalHashMaintenance(t *testing.T) {
 	d := NewDigraph(6)
 	d.MustAddArc(0, 1)
@@ -188,26 +188,21 @@ func TestDigraphIncrementalHashMaintenance(t *testing.T) {
 	d.MustAddArc(4, 5)
 	side := []bool{true, true, true, false, false, false}
 	bob := []bool{false, false, false, true, true, true}
-	cutH, aH, bH := d.CutHash(side), d.HashWithin(side), d.HashWithin(bob)
+	h := d.SideHashes(side)
+	if h != (SideHashes{Cut: d.CutHash(side), A: d.HashWithin(side), B: d.HashWithin(bob)}) {
+		t.Fatal("SideHashes disagrees with CutHash/HashWithin")
+	}
 	d.StartJournal()
 	toggles := [][3]int64{{0, 2, 1}, {1, 3, 1}, {3, 5, 9}, {0, 2, 1}, {4, 3, 1}}
 	for _, tg := range toggles {
 		if _, err := d.ToggleArc(int(tg[0]), int(tg[1]), tg[2]); err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range d.Journal() {
-			h := ArcHash(a.From, a.To, a.W)
-			switch {
-			case side[a.From] != side[a.To]:
-				cutH ^= h
-			case side[a.From]:
-				aH ^= h
-			default:
-				bH ^= h
-			}
+		d.FoldJournal(side, &h)
+		if len(d.Journal()) != 0 {
+			t.Fatalf("FoldJournal left the journal uncleared after toggle %v", tg)
 		}
-		d.ClearJournal()
-		if cutH != d.CutHash(side) || aH != d.HashWithin(side) || bH != d.HashWithin(bob) {
+		if h.Cut != d.CutHash(side) || h.A != d.HashWithin(side) || h.B != d.HashWithin(bob) {
 			t.Fatalf("incremental hashes diverged after toggle %v", tg)
 		}
 	}

@@ -293,9 +293,8 @@ func mix64(x uint64) uint64 {
 }
 
 // EdgeHash returns the element hash of the labeled weighted undirected edge
-// {u, v} — the unit the XOR-fold structural hashes are built from. It is
-// exported so incremental observers (the lower-bound-family verifier) can
-// maintain CutHash/HashWithin values in O(1) per edge delta.
+// {u, v} — the unit the XOR-fold structural hashes are built from, so a
+// journaled edge delta updates them in O(1) (see FoldJournal).
 func EdgeHash(u, v int, w int64) uint64 {
 	if u > v {
 		u, v = v, u
@@ -303,10 +302,9 @@ func EdgeHash(u, v int, w int64) uint64 {
 	return mix64(mix64(mix64(uint64(u)^edgeSeed)+uint64(v)) + uint64(w))
 }
 
-// VertexHash returns the element hash of a labeled weighted vertex. Like
-// EdgeHash it is exported so incremental observers can fold vertex-weight
-// deltas (families whose inputs drive vertex weights rather than edges)
-// into HashWithin values with one XOR per change.
+// VertexHash returns the element hash of a labeled weighted vertex, so
+// vertex-weight deltas (families whose inputs drive vertex weights rather
+// than edges) fold into HashWithin values with one XOR per change.
 func VertexHash(v int, w int64) uint64 {
 	return mix64(mix64(uint64(v)^vertexSeed) + uint64(w))
 }
@@ -384,4 +382,86 @@ func (d *Digraph) CutHash(side []bool) uint64 {
 		}
 	}
 	return h
+}
+
+// SideHashes are the three structural hashes Definition 1.1 compares
+// across inputs, for one Alice/Bob partition: the cut (CutHash(side)),
+// Alice's induced side (HashWithin(side)) and Bob's (HashWithin of the
+// complement).
+type SideHashes struct {
+	Cut, A, B uint64
+}
+
+// add folds element hash h of the edge or arc {u, v} into the part it
+// belongs to.
+func (s *SideHashes) add(side []bool, u, v int, h uint64) {
+	switch {
+	case side[u] != side[v]:
+		s.Cut ^= h
+	case side[u]:
+		s.A ^= h
+	default:
+		s.B ^= h
+	}
+}
+
+// addVertex folds a vertex element hash into its side (vertices never
+// touch the cut).
+func (s *SideHashes) addVertex(alice bool, h uint64) {
+	if alice {
+		s.A ^= h
+	} else {
+		s.B ^= h
+	}
+}
+
+// SideHashes computes the cut and both induced-side hashes in one pass.
+func (g *Graph) SideHashes(side []bool) SideHashes {
+	var s SideHashes
+	for v, w := range g.vw {
+		s.addVertex(side[v], VertexHash(v, w))
+	}
+	for u, nbrs := range g.adj {
+		for _, half := range nbrs {
+			if u < half.To {
+				s.add(side, u, half.To, EdgeHash(u, half.To, half.Weight))
+			}
+		}
+	}
+	return s
+}
+
+// FoldJournal XORs every journaled edge and vertex-weight mutation into s
+// and clears the journal: O(1) per delta, so a delta walk keeps s equal
+// to SideHashes(side) without rehashing the graph.
+func (g *Graph) FoldJournal(side []bool, s *SideHashes) {
+	for _, d := range g.journal {
+		s.add(side, d.U, d.V, EdgeHash(d.U, d.V, d.W))
+	}
+	for _, d := range g.vwJournal {
+		s.addVertex(side[d.V], VertexHash(d.V, d.W))
+	}
+	g.ClearJournal()
+}
+
+// SideHashes is the directed analogue of Graph.SideHashes.
+func (d *Digraph) SideHashes(side []bool) SideHashes {
+	var s SideHashes
+	for v, w := range d.vw {
+		s.addVertex(side[v], VertexHash(v, w))
+	}
+	for u, nbrs := range d.out {
+		for _, half := range nbrs {
+			s.add(side, u, half.To, ArcHash(u, half.To, half.Weight))
+		}
+	}
+	return s
+}
+
+// FoldJournal is the directed analogue of Graph.FoldJournal.
+func (d *Digraph) FoldJournal(side []bool, s *SideHashes) {
+	for _, a := range d.journal {
+		s.add(side, a.From, a.To, ArcHash(a.From, a.To, a.W))
+	}
+	d.ClearJournal()
 }

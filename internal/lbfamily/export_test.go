@@ -2,7 +2,6 @@ package lbfamily
 
 import (
 	"context"
-	"fmt"
 
 	"congesthard/internal/comm"
 )
@@ -17,65 +16,45 @@ type OutcomeForTest struct {
 	BuildErr, PredErr     error
 }
 
-// CollectOutcomesForTest runs verification phase 1 over xs × ys — in
+// collectOutcomesForTest runs verification phase 1 over xs × ys — in
 // delta-with-fallback mode (forceRebuild = false) or forced rebuild mode —
 // and returns the row-major outcomes plus whether the delta path produced
 // them.
-func CollectOutcomesForTest(fam Family, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	side, err := familySide(fam)
+func collectOutcomesForTest[G Instance](s Surface[G], xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
+	side, err := s.Side()
 	if err != nil {
 		return nil, false, err
 	}
-	outcomes, _, delta := collectOutcomes(context.Background(), fam, side, xs, ys, forceRebuild)
+	outcomes, status, delta := collectOutcomes(context.Background(), s, side, xs, ys, forceRebuild)
 	views := make([]OutcomeForTest, len(outcomes))
 	for i, o := range outcomes {
-		views[i] = OutcomeForTest{
-			N: o.n, CutHash: o.cutHash, AHash: o.aHash, BHash: o.bHash,
-			Got: o.got, BuildErr: o.buildErr, PredErr: o.predErr,
+		views[i] = OutcomeForTest{N: o.n, CutHash: o.h.Cut, AHash: o.h.A, BHash: o.h.B, Got: o.got}
+		if be, ok := status[i].Err.(*BuildError); ok {
+			views[i].BuildErr = be.Err
+		} else if status[i].Err != errVertexCount {
+			views[i].PredErr = status[i].Err
 		}
 	}
 	return views, delta, nil
+}
+
+// CollectOutcomesForTest is phase 1 for an undirected family.
+func CollectOutcomesForTest(fam Family, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
+	return collectOutcomesForTest(Undirected(fam), xs, ys, forceRebuild)
+}
+
+// CollectDigraphOutcomesForTest is phase 1 for a directed family.
+func CollectDigraphOutcomesForTest(fam DigraphFamily, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
+	return collectOutcomesForTest(Directed(fam), xs, ys, forceRebuild)
 }
 
 // VerifyRebuild is Verify with the delta path disabled; differential tests
 // compare its first error byte for byte against the delta path's.
 func VerifyRebuild(fam Family) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampled)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
-		return err
-	}
-	return verifyOverMode(context.Background(), fam, inputs, inputs, true)
+	return verifyExhaustive(context.Background(), Undirected(fam), true)
 }
 
-// CollectDigraphOutcomesForTest is CollectOutcomesForTest for directed
-// families: phase 1 over xs × ys, delta-with-fallback or forced rebuild.
-func CollectDigraphOutcomesForTest(fam DigraphFamily, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	outcomes, _, delta := collectDigraphOutcomes(context.Background(), fam, fam.AliceSide(), xs, ys, forceRebuild)
-	views := make([]OutcomeForTest, len(outcomes))
-	for i, o := range outcomes {
-		views[i] = OutcomeForTest{
-			N: o.n, CutHash: o.cutHash, AHash: o.aHash, BHash: o.bHash,
-			Got: o.got, BuildErr: o.buildErr, PredErr: o.predErr,
-		}
-	}
-	return views, delta, nil
-}
-
-// VerifyDigraphRebuild is VerifyDigraph with the delta path disabled;
-// differential tests compare its first error byte for byte against the
-// delta path's.
+// VerifyDigraphRebuild is VerifyDigraph with the delta path disabled.
 func VerifyDigraphRebuild(fam DigraphFamily) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampledDigraph)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
-		return err
-	}
-	return verifyDigraphOverMode(context.Background(), fam, inputs, inputs, true)
+	return verifyExhaustive(context.Background(), Directed(fam), true)
 }

@@ -18,13 +18,11 @@ package lbfamily
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"congesthard/internal/comm"
 	"congesthard/internal/congest"
@@ -170,15 +168,7 @@ func Verify(fam Family) error { return VerifyCtx(context.Background(), fam) }
 // worker is confined to its pair and surfaces as a *PanicError naming the
 // (x, y) pair.
 func VerifyCtx(ctx context.Context, fam Family) error {
-	k := fam.K()
-	if k > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampled)", k)
-	}
-	inputs := make([]comm.Bits, 0, 1<<uint(k))
-	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
-		return err
-	}
-	return verifyOverMode(ctx, fam, inputs, inputs, false)
+	return verifyExhaustive(ctx, Undirected(fam), false)
 }
 
 // VerifySampled checks Definition 1.1 on up to trials distinct random
@@ -193,7 +183,19 @@ func VerifySampled(fam Family, rng *rand.Rand, trials int) error {
 // VerifySampledCtx is VerifySampled with cancellation, like VerifyCtx.
 func VerifySampledCtx(ctx context.Context, fam Family, rng *rand.Rand, trials int) error {
 	inputs := sampledInputs(fam.K(), rng, trials)
-	return verifyOverMode(ctx, fam, inputs, inputs, false)
+	return verify(ctx, Undirected(fam), inputs, inputs, false)
+}
+
+// verifyExhaustive verifies s over the whole input cube.
+func verifyExhaustive[G Instance](ctx context.Context, s Surface[G], forceRebuild bool) error {
+	if s.K > 12 {
+		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use %s)", s.K, s.sampled)
+	}
+	inputs := make([]comm.Bits, 0, 1<<uint(s.K))
+	if err := comm.AllBits(s.K, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
+		return err
+	}
+	return verify(ctx, s, inputs, inputs, forceRebuild)
 }
 
 // sampledInputs draws the shared sampled-verification input set: the
@@ -214,349 +216,143 @@ func sampledInputs(k int, rng *rand.Rand, trials int) []comm.Bits {
 	return inputs
 }
 
-// pairOutcome is the per-(x, y) result computed by a verification worker:
-// build/predicate errors, the vertex count, 64-bit structural hashes of the
-// cut and of the two induced sides, and the predicate's verdict. The cheap
-// serial pass over these outcomes reproduces exactly the checks (and error
-// messages) of the old serial verifier, in the same row-major order.
+// pairOutcome is what verification phase 1 records per (x, y) pair: the
+// vertex count, the structural hashes and the predicate's verdict. The
+// pair's errors live in its PairStatus.
 type pairOutcome struct {
-	buildErr error
-	predErr  error
-	panicErr *PanicError
-	n        int
-	cutHash  uint64
-	aHash    uint64
-	bHash    uint64
-	got      bool
+	n   int
+	h   graph.SideHashes
+	got bool
 }
 
-// verifyWorkers returns the worker count for a pair workload.
-func verifyWorkers(total int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > total {
-		w = total
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// errVertexCount fails a pair whose vertex count differs from the Alice
+// side's; the scan reports it as a condition 1 violation.
+var errVertexCount = errors.New("vertex count differs from the Alice side")
 
-// computePairs runs compute for every pair index across a worker pool and
-// returns the recorded outcomes plus the number of pairs fully computed.
-// compute fills outcomes[idx] and reports whether the pair succeeded;
-// after a failure, workers skip pairs that come later in row-major order
-// (the serial scan never reads past the first failing pair, which is
-// always fully computed). A cancelled ctx stops workers from claiming new
-// pairs; in-flight pairs finish, so the completed count stays consistent.
-// A panic inside compute is confined to its pair and recorded as that
-// outcome's panicErr.
-func computePairs(ctx context.Context, total int, compute func(idx int64, out *pairOutcome) bool) ([]pairOutcome, int) {
-	outcomes := make([]pairOutcome, total)
-	var nextIdx, minErr, completed atomic.Int64
-	minErr.Store(int64(total))
-	var wg sync.WaitGroup
-	for w := verifyWorkers(total); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := nextIdx.Add(1) - 1
-				if idx >= int64(total) {
-					return
-				}
-				if idx > minErr.Load() {
-					continue
-				}
-				if !safeCompute(compute, idx, &outcomes[idx]) {
-					storeMin(&minErr, idx)
-				}
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	return outcomes, int(completed.Load())
-}
-
-// safeCompute runs compute with panic confinement: a panic is recorded as
-// the pair's panicErr (with the stack captured at the panic site) and
-// treated as a pair failure rather than crashing the sweep.
-func safeCompute(compute func(idx int64, out *pairOutcome) bool, idx int64, out *pairOutcome) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			out.panicErr = &PanicError{Value: r, Stack: debug.Stack()}
-			ok = false
-		}
-	}()
-	return compute(idx, out)
-}
-
-// sweepCancelled translates an interrupted phase 1 into a CancelledError;
-// a sweep that computed every pair before the context fired is complete
-// and scans normally.
-func sweepCancelled(ctx context.Context, completed, total int) error {
-	if err := ctx.Err(); err != nil && completed < total {
-		return &CancelledError{Completed: completed, Total: total, Err: err}
-	}
-	return nil
-}
-
-func verifyOverMode(ctx context.Context, fam Family, xs, ys []comm.Bits, forceRebuild bool) error {
-	side, err := familySide(fam)
+// verify checks Definition 1.1 over xs × ys: phase 1 computes every
+// pair's outcome on the sweep engine, phase 2 scans them serially.
+func verify[G Instance](ctx context.Context, s Surface[G], xs, ys []comm.Bits, forceRebuild bool) error {
+	side, err := s.Side()
 	if err != nil {
 		return fmt.Errorf("alice side: %w", err)
 	}
-	total := len(xs) * len(ys)
-	if total == 0 {
+	if len(xs)*len(ys) == 0 {
 		return nil
 	}
-	outcomes, completed, _ := collectOutcomes(ctx, fam, side, xs, ys, forceRebuild)
-	if err := sweepCancelled(ctx, completed, total); err != nil {
-		return err
-	}
-	return scanOutcomes(fam, side, xs, ys, outcomes)
-}
-
-// familySide returns the family's Alice side, surfacing the underlying
-// build error for families (DerivedFamily) that must build an instance to
-// learn their partition.
-func familySide(fam Family) ([]bool, error) {
-	if checked, ok := fam.(interface{ AliceSideChecked() ([]bool, error) }); ok {
-		return checked.AliceSideChecked()
-	}
-	return fam.AliceSide(), nil
-}
-
-// collectOutcomes is verification phase 1: it computes every pair's
-// outcome, delta-driven when the family opts in (and the delta machinery
-// encounters no unexpected failure), rebuilding every instance otherwise.
-// It also reports the number of pairs fully computed (less than the total
-// only under cancellation) and whether the delta path produced the
-// outcomes. A cancelled delta sweep does NOT fall back to the rebuild
-// path — the interruption is the caller's to report.
-func collectOutcomes(ctx context.Context, fam Family, side []bool, xs, ys []comm.Bits, forceRebuild bool) ([]pairOutcome, int, bool) {
-	bobSide := make([]bool, len(side))
-	for i, a := range side {
-		bobSide[i] = !a
-	}
-	if !forceRebuild {
-		if df, ok := fam.(DeltaFamily); ok {
-			if outcomes, completed, ok := computePairsDelta(ctx, df, side, bobSide, xs, ys); ok {
-				return outcomes, completed, true
-			}
+	outcomes, status, _ := collectOutcomes(ctx, s, side, xs, ys, forceRebuild)
+	completed := 0
+	for _, st := range status {
+		if st.Done {
+			completed++
 		}
 	}
-	total := len(xs) * len(ys)
-	outcomes, completed := computePairs(ctx, total, func(idx int64, out *pairOutcome) bool {
-		x, y := xs[idx/int64(len(ys))], ys[idx%int64(len(ys))]
-		g, err := fam.Build(x, y)
-		if err != nil {
-			out.buildErr = err
-			return false
-		}
-		out.n = g.N()
-		if out.n != len(side) {
-			// Condition 1 violation; the serial pass reports it before
-			// any hash of this pair is consulted.
-			return false
-		}
-		out.cutHash = g.CutHash(side)
-		out.aHash = g.HashWithin(side)
-		out.bHash = g.HashWithin(bobSide)
-		out.got, out.predErr = fam.Predicate(g)
-		return out.predErr == nil
-	})
-	return outcomes, completed, false
+	if err := ctx.Err(); err != nil && completed < len(status) {
+		return &CancelledError{Completed: completed, Total: len(status), Err: err}
+	}
+	return scanOutcomes(s, side, xs, ys, outcomes, status)
 }
 
-// computePairsDelta is the delta-driven phase 1: each worker owns one
-// mutable instance graph built once from BuildBase, claims columns (fixed
-// y) and walks x across each column in Gray-code order, applying only the
-// changed bits through ApplyBit and folding the journaled edge deltas into
-// incrementally maintained cut/side hashes. Any unexpected failure of the
-// delta machinery (base build or ApplyBit error) reports ok = false and
-// the caller transparently falls back to the rebuild path, whose error
-// reporting is the historical reference.
-func computePairsDelta(ctx context.Context, df DeltaFamily, side, bobSide []bool, xs, ys []comm.Bits) ([]pairOutcome, int, bool) {
-	if !deltaSurfaceConsistent(df, side, bobSide) {
-		return nil, 0, false
+// collectOutcomes is verification phase 1: every pair's outcome, indexed
+// row-major (x-major), computed delta-driven when the family has a delta
+// surface that passes the spot-check, by rebuilding every instance
+// otherwise. It also reports whether the delta walk produced them. A
+// delta walk whose base build or ApplyBit fails falls back to the
+// rebuild path, whose error reporting is the reference; a merely
+// cancelled one does not — the interruption is the caller's to report.
+func collectOutcomes[G Instance](ctx context.Context, s Surface[G], side []bool, xs, ys []comm.Bits, forceRebuild bool) ([]pairOutcome, []PairStatus, bool) {
+	if !forceRebuild && s.BuildBase != nil && deltaSurfaceConsistent(s, side) {
+		if outcomes, status, err := verifyPairs(ctx, s, side, xs, ys, true); err == nil && !deltaBroken(status) {
+			return outcomes, status, true
+		}
 	}
-	total := len(xs) * len(ys)
-	order := walkOrder(xs, df.K())
-	outcomes := make([]pairOutcome, total)
-	var nextCol, minErr, completed atomic.Int64
-	minErr.Store(int64(total))
-	ok := atomic.Bool{}
-	ok.Store(true)
-	var wg sync.WaitGroup
-	for w := verifyWorkers(len(ys)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic outside predicate evaluation (BuildBase, ApplyBit,
-			// journal folding) abandons the delta path; the rebuild
-			// fallback recomputes every pair with per-pair confinement.
-			defer func() {
-				if r := recover(); r != nil {
-					ok.Store(false)
+	outcomes, status, _ := verifyPairs(ctx, s, side, xs, ys, false)
+	return outcomes, status, false
+}
+
+// deltaBroken reports whether some delta worker's ApplyBit failed.
+func deltaBroken(status []PairStatus) bool {
+	for _, st := range status {
+		if _, ok := st.Err.(*ApplyError); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// verifyPairs runs phase 1 on the sweep engine. Columns are the ys; each
+// walks the xs in walkOrder. A delta worker folds its instance's mutation
+// journal into running hashes, O(1) per toggled element, where the
+// rebuild path rehashes every instance.
+func verifyPairs[G Instance](ctx context.Context, s Surface[G], side []bool, xs, ys []comm.Bits, delta bool) ([]pairOutcome, []PairStatus, error) {
+	outcomes := make([]pairOutcome, len(xs)*len(ys))
+	order := walkOrder(xs, s.K)
+	sw := Sweep[G]{
+		Cols: len(ys), ColLen: len(xs), K: s.K, Build: s.Build,
+		Pair: func(c, i int) (int, comm.Bits, comm.Bits) {
+			xi := order[i]
+			return xi*len(ys) + c, xs[xi], ys[c]
+		},
+		Worker: func(g G) Step[G] {
+			eval := s.Predicate
+			var h graph.SideHashes
+			if delta {
+				g.FreezePatchable()
+				g.StartJournal()
+				h = g.SideHashes(side)
+				if s.NewOracle != nil {
+					eval = s.NewOracle()
 				}
-			}()
-			if !deltaWorker(ctx, df, side, bobSide, xs, ys, order, outcomes, &nextCol, &minErr, &completed) {
-				ok.Store(false)
 			}
-		}()
+			return func(idx int, g G, x, y comm.Bits) error {
+				out := &outcomes[idx]
+				if out.n = g.N(); out.n != len(side) {
+					return errVertexCount
+				}
+				if delta {
+					g.FoldJournal(side, &h)
+					out.h = h
+				} else {
+					out.h = g.SideHashes(side)
+				}
+				var err error
+				out.got, err = eval(g)
+				return err
+			}
+		},
 	}
-	wg.Wait()
-	return outcomes, int(completed.Load()), ok.Load()
+	if delta {
+		sw.BuildBase, sw.ApplyBit = s.BuildBase, s.ApplyBit
+	}
+	status, err := sw.Run(ctx)
+	return outcomes, status, err
 }
 
-// deltaSurfaceConsistent spot-checks the DeltaFamily contract before the
-// delta path is trusted: BuildBase plus ApplyBit(val = true) over every
-// bit of both players must reproduce Build's all-ones instance — same
-// vertex count, same cut hash, same induced-side hashes. This exercises
-// every bit's attached edges once for the cost of two builds; a family
-// whose ApplyBit disagrees with Build falls back to the rebuild path (as
-// does a family whose base build fails, so the rebuild path reports its
-// historical error).
-func deltaSurfaceConsistent(df DeltaFamily, side, bobSide []bool) bool {
-	k := df.K()
-	ones := comm.OnesBits(k)
-	want, err := df.Build(ones, ones)
-	if err != nil || want == nil || want.N() != len(side) {
+// deltaSurfaceConsistent spot-checks the delta contract before the delta
+// path is trusted: BuildBase plus ApplyBit(val = true) over every bit of
+// both players must reproduce Build's all-ones instance — same vertex
+// count, same cut and induced-side hashes. This exercises every bit's
+// attached elements once for the cost of two builds; a family whose
+// ApplyBit disagrees with Build falls back to the rebuild path (as does a
+// family whose base build fails, so the rebuild path reports its error).
+func deltaSurfaceConsistent[G Instance](s Surface[G], side []bool) bool {
+	var none G
+	ones := comm.OnesBits(s.K)
+	want, err := s.Build(ones, ones)
+	if err != nil || want == none || want.N() != len(side) {
 		return false
 	}
-	g, err := df.BuildBase()
-	if err != nil || g == nil || g.N() != len(side) {
+	g, err := s.BuildBase()
+	if err != nil || g == none || g.N() != len(side) {
 		return false
 	}
 	for _, player := range [2]int{PlayerX, PlayerY} {
-		for i := 0; i < k; i++ {
-			if err := df.ApplyBit(g, player, i, true); err != nil {
+		for i := 0; i < s.K; i++ {
+			if err := s.ApplyBit(g, player, i, true); err != nil {
 				return false
 			}
 		}
 	}
-	return g.CutHash(side) == want.CutHash(side) &&
-		g.HashWithin(side) == want.HashWithin(side) &&
-		g.HashWithin(bobSide) == want.HashWithin(bobSide)
-}
-
-// deltaWorker claims columns until none remain or ctx fires. It reports
-// false when the delta machinery itself failed and the caller must fall
-// back; cancellation is NOT a failure (returning true keeps the partial
-// outcomes, which the caller reports as a CancelledError).
-//
-//hardness:hotpath
-func deltaWorker(ctx context.Context, df DeltaFamily, side, bobSide []bool, xs, ys []comm.Bits, order []int, outcomes []pairOutcome, nextCol, minErr, completed *atomic.Int64) bool {
-	k := df.K()
-	g, err := df.BuildBase()
-	if err != nil || g == nil || g.N() != len(side) {
-		return false
-	}
-	g.FreezePatchable()
-	g.StartJournal()
-	curX, curY := comm.NewBits(k), comm.NewBits(k)
-	cutH := g.CutHash(side)
-	aH := g.HashWithin(side)
-	bH := g.HashWithin(bobSide)
-	n := g.N()
-	eval := df.Predicate
-	if of, ok := Family(df).(OracleFamily); ok {
-		eval = of.NewPredicateOracle().Eval
-	}
-
-	// applyDiff toggles the bits on which cur and target differ and folds
-	// the journaled edge and vertex-weight deltas into the three running
-	// hashes: O(1) per delta, versus the O(|V|+|E|) rebuild-freeze-rehash
-	// per pair of the fallback path.
-	applyDiff := func(player int, cur, target comm.Bits) error {
-		var applyErr error
-		cur.ForEachDiff(target, func(i int) bool {
-			if err := df.ApplyBit(g, player, i, target.Get(i)); err != nil {
-				applyErr = err
-				return false
-			}
-			cur.Set(i, target.Get(i))
-			return true
-		})
-		if applyErr != nil {
-			return applyErr
-		}
-		// One toggle's journal: O(attached edges), cannot block; the
-		// claiming loop checks ctx once per pair.
-		for _, d := range g.Journal() { //nolint:hardlint/ctxflow bounded per-toggle fold; ctx checked per pair
-			h := graph.EdgeHash(d.U, d.V, d.W)
-			switch {
-			case side[d.U] != side[d.V]:
-				cutH ^= h
-			case side[d.U]:
-				aH ^= h
-			default:
-				bH ^= h
-			}
-		}
-		// Vertex weights contribute to the induced-side hashes only; the
-		// cut hash is a pure edge fold.
-		for _, d := range g.VertexJournal() { //nolint:hardlint/ctxflow bounded per-toggle fold; ctx checked per pair
-			h := graph.VertexHash(d.V, d.W)
-			if side[d.V] {
-				aH ^= h
-			} else {
-				bH ^= h
-			}
-		}
-		g.ClearJournal()
-		return nil
-	}
-
-	// evalInto runs the predicate with panic confinement: a panic becomes
-	// the pair's panicErr instead of abandoning the delta path, since it
-	// would recur identically under the rebuild fallback.
-	evalInto := func(out *pairOutcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out.panicErr = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		out.got, out.predErr = eval(g)
-	}
-
-	for {
-		if ctx.Err() != nil {
-			return true // cancelled, not broken: keep the partial outcomes
-		}
-		yi := int(nextCol.Add(1) - 1)
-		if yi >= len(ys) {
-			return true
-		}
-		if err := applyDiff(PlayerY, curY, ys[yi]); err != nil {
-			return false
-		}
-		for _, xi := range order {
-			if ctx.Err() != nil {
-				return true
-			}
-			if err := applyDiff(PlayerX, curX, xs[xi]); err != nil {
-				return false
-			}
-			idx := int64(xi)*int64(len(ys)) + int64(yi)
-			out := &outcomes[idx]
-			out.n = n
-			out.cutHash, out.aHash, out.bHash = cutH, aH, bH
-			if idx > minErr.Load() {
-				continue // a pair earlier in row-major order already failed
-			}
-			evalInto(out)
-			if out.predErr != nil || out.panicErr != nil {
-				storeMin(minErr, idx)
-			}
-			completed.Add(1)
-		}
-	}
+	return g.SideHashes(side) == want.SideHashes(side)
 }
 
 // walkOrder returns the sequence of xs indices a delta worker visits per
@@ -590,72 +386,58 @@ func canonicalCube(xs []comm.Bits, k int) bool {
 	return true
 }
 
-// scanOutcomes is verification phase 2: the serial row-major scan,
-// identical in order and messages to the historical serial verifier.
-func scanOutcomes(fam Family, side []bool, xs, ys []comm.Bits, outcomes []pairOutcome) error {
-	f := fam.Func()
+// scanOutcomes is verification phase 2: the serial row-major scan that
+// turns the outcomes into the first violation, identical in order and
+// messages to the historical serial verifier.
+func scanOutcomes[G Instance](s Surface[G], side []bool, xs, ys []comm.Bits, outcomes []pairOutcome, status []PairStatus) error {
 	wantN := -1
 	var cutHash uint64
-	cutSeen := false
 	bByY := make([]uint64, len(ys))
 	bSeen := make([]bool, len(ys))
 	aByX := make([]uint64, len(xs))
 	aSeen := make([]bool, len(xs))
 	for xi, x := range xs {
 		for yi, y := range ys {
-			out := &outcomes[xi*len(ys)+yi]
-			if out.panicErr != nil {
+			idx := xi*len(ys) + yi
+			out, err := &outcomes[idx], status[idx].Err
+			switch e := err.(type) {
+			case *PanicError:
 				// Checked before the structural conditions: a pair that
 				// panicked mid-compute has no meaningful n or hashes.
-				out.panicErr.X, out.panicErr.Y = x, y
-				return out.panicErr
-			}
-			if out.buildErr != nil {
-				return fmt.Errorf("build(%s,%s): %w", x, y, out.buildErr)
+				return e
+			case *BuildError:
+				return fmt.Errorf("build(%s,%s): %w", x, y, e.Err)
 			}
 			if wantN == -1 {
 				wantN = out.n
 				if len(side) != wantN {
 					return fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), wantN)
 				}
+				cutHash = out.h.Cut
 			}
 			if out.n != wantN {
 				return fmt.Errorf("condition 1 violated: vertex count %d != %d at (%s,%s)", out.n, wantN, x, y)
 			}
-			if !cutSeen {
-				cutHash = out.cutHash
-				cutSeen = true
-			} else if out.cutHash != cutHash {
-				return fmt.Errorf("cut edges changed with input at (%s,%s)", x, y)
+			if out.h.Cut != cutHash {
+				return fmt.Errorf("cut %s changed with input at (%s,%s)", s.cut, x, y)
 			}
-			if bSeen[yi] && bByY[yi] != out.bHash {
+			if bSeen[yi] && bByY[yi] != out.h.B {
 				return fmt.Errorf("condition 2 violated: G[V_B] changed with x at (%s,%s)", x, y)
 			}
-			bByY[yi], bSeen[yi] = out.bHash, true
-			if aSeen[xi] && aByX[xi] != out.aHash {
+			bByY[yi], bSeen[yi] = out.h.B, true
+			if aSeen[xi] && aByX[xi] != out.h.A {
 				return fmt.Errorf("condition 3 violated: G[V_A] changed with y at (%s,%s)", x, y)
 			}
-			aByX[xi], aSeen[xi] = out.aHash, true
-			if out.predErr != nil {
-				return fmt.Errorf("predicate at (%s,%s): %w", x, y, out.predErr)
+			aByX[xi], aSeen[xi] = out.h.A, true
+			if err != nil {
+				return fmt.Errorf("predicate at (%s,%s): %w", x, y, err)
 			}
-			want := f.Eval(x, y)
-			if out.got != want {
-				return fmt.Errorf("condition 4 violated at (x=%s, y=%s): P=%v but %s=%v", x, y, out.got, f.Name(), want)
+			if want := s.Func.Eval(x, y); out.got != want {
+				return fmt.Errorf("condition 4 violated at (x=%s, y=%s): P=%v but %s=%v", x, y, out.got, s.Func.Name(), want)
 			}
 		}
 	}
 	return nil
-}
-
-// storeMin lowers m to idx if idx is smaller.
-func storeMin(m *atomic.Int64, idx int64) {
-	for {
-		cur := m.Load()
-		if idx >= cur || m.CompareAndSwap(cur, idx) {
-			return
-		}
-	}
 }
 
 // SimulateTwoParty runs a CONGEST algorithm on G_{x,y} with Alice

@@ -32,7 +32,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 
 // TestHotpathDirectiveSync pins //hardness:hotpath to the functions the
 // allocs-guard benchmarks watch (BenchmarkCongestRunCore,
-// BenchmarkDicongestRunCore, the VerifyExhaustive delta workers, the
+// BenchmarkDicongestRunCore, the sweep engine's worker loop, the
 // oracle recursions, the delta toggles). If one of these is renamed or
 // loses its directive, hotalloc silently stops guarding the loop the
 // benchmark measures — this test makes that drift loud. A target with a
@@ -46,8 +46,7 @@ func TestHotpathDirectiveSync(t *testing.T) {
 	}{
 		{"internal/congest/congest.go", "", "Run"},
 		{"internal/dicongest/dicongest.go", "", "Run"},
-		{"internal/lbfamily/lbfamily.go", "", "deltaWorker"},
-		{"internal/lbfamily/digraph.go", "", "digraphDeltaWorker"},
+		{"internal/lbfamily/sweep.go", "", "worker"},
 		{"internal/solver/independent.go", "", "recurse"},
 		{"internal/solver/mds.go", "", "recurse"},
 		{"internal/solver/maxcut.go", "", "recurse"},

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
+	"sync"
 	"time"
 
 	"congesthard/internal/comm"
@@ -182,15 +182,16 @@ type Report struct {
 // cfg.Pairs == 0 (K <= MaxExhaustiveCertifyK), sampled otherwise — with
 // the Alice/Bob cut metered, and reports per-pair {rounds, cut traffic,
 // output, correct} plus the aggregate rounds·B·|E_cut| budget against
-// CC(f). The sweep is sharded by Gray-code column across cfg.Workers
-// workers (GOMAXPROCS by default): for families implementing
-// lbfamily.DeltaFamily each worker holds a private base instance built
-// once from BuildBase and walks its claimed columns by ApplyBit toggles
-// (Hamming distance 1 between consecutive pairs of a column) with a
-// reused simulator arena, so steady-state allocations per pair are near
-// zero; other families rebuild each claimed G_{x,y} from scratch. Per-
-// pair seeds are keyed by canonical pair index, so the report is
-// bit-identical to the cfg.Serial reference walk at any worker count.
+// CC(f). The sweep runs on lbfamily's sharded engine: workers
+// (cfg.Workers, GOMAXPROCS by default) claim Gray-code columns; for
+// families implementing lbfamily.DeltaFamily each worker holds a private
+// base instance built once from BuildBase and walks its claimed columns
+// by ApplyBit toggles (Hamming distance 1 between consecutive pairs of a
+// column) with a reused simulator arena, so steady-state allocations per
+// pair are near zero; other families rebuild each claimed G_{x,y} from
+// scratch. Per-pair seeds are keyed by canonical pair index, so the
+// report is bit-identical to the cfg.Serial reference walk at any worker
+// count.
 func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 	return CertifyCtx(context.Background(), fam, alg, cfg)
 }
@@ -199,20 +200,75 @@ func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 // ctx fires mid-sweep, workers stop claiming pairs and the partial
 // report (the certified pairs, in canonical order) is returned alongside
 // a *lbfamily.CancelledError whose Completed/Total match the report; a
-// panic inside one pair's run is confined and returned as a
-// *lbfamily.PanicError naming the earliest failing (x, y) pair in
-// canonical order, with the report truncated to that pair's prefix
-// exactly as the serial walk would have left it. See Report for the
-// partial-report invariants.
+// panic inside one pair — in its ApplyBit or Build, the algorithm or the
+// simulator — is confined and returned as a *lbfamily.PanicError naming
+// the earliest failing (x, y) pair in canonical order, with the report
+// truncated to that pair's prefix exactly as the serial walk would have
+// left it. See Report for the partial-report invariants.
 func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 	if alg.Prepare == nil {
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
-	side, err := familySide(fam)
+	return certify(ctx, lbfamily.Undirected(fam), alg.Name, alg.Exact, cfg, alg.simulator)
+}
+
+// pairSim runs an algorithm on one pair's instance g and returns the
+// run's measurements: Rounds, Messages, CutMessages, CutBits and Output.
+type pairSim[G lbfamily.Instance] func(idx int, g G, x, y comm.Bits) (PairReport, error)
+
+// runSpec is what every pair's simulation shares.
+type runSpec struct {
+	cfg       Config
+	bandwidth int
+	side      []bool
+}
+
+// simulator returns one worker's pairSim; arena selects a private,
+// reused congest arena.
+func (alg Algorithm) simulator(r runSpec, arena bool) pairSim[*graph.Graph] {
+	var a *congest.Arena
+	if arena {
+		a = &congest.Arena{}
+	}
+	return func(idx int, g *graph.Graph, x, y comm.Bits) (PairReport, error) {
+		factory, decide, err := alg.Prepare(g, r.bandwidth, pairSeed(r.cfg.Seed, idx))
+		if err != nil {
+			return PairReport{}, fmt.Errorf("prepare (%s,%s): %w", x, y, err)
+		}
+		opts := congest.Options{BandwidthBits: r.bandwidth, MaxRounds: r.cfg.MaxRounds, CutSide: r.side, Faults: r.cfg.Faults, Arena: a}
+		if r.cfg.Trace != nil {
+			opts.Trace = r.cfg.Trace(idx, x, y)
+		}
+		// The transcript-checked pairs are the first TranscriptChecks
+		// canonical indices — a pure function of idx, not of visit order,
+		// so serial and sharded sweeps check (and replay) the same pairs.
+		var res *congest.Result
+		if idx < r.cfg.TranscriptChecks {
+			_, res, err = VerifySimulation(g, r.side, factory, opts)
+		} else {
+			res, err = congest.Run(g, factory, opts)
+		}
+		if err != nil {
+			return PairReport{}, fmt.Errorf("run (%s,%s): %w", x, y, err)
+		}
+		output, err := decide(res)
+		if err != nil {
+			return PairReport{}, fmt.Errorf("decide (%s,%s): %w", x, y, err)
+		}
+		return PairReport{Rounds: res.Rounds, Messages: res.Messages, CutMessages: res.CutMessages, CutBits: res.CutBits, Output: output}, nil
+	}
+}
+
+// certify is the one body behind CertifyCtx and CertifyDigraphCtx: it
+// lays out the pairs, runs them on the sweep engine — sharded, or the
+// cfg.Serial reference walk — with one simulator per worker, and
+// resolves the outcome into the report/error contract.
+func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], alg string, exact bool, cfg Config, simulator func(runSpec, bool) pairSim[G]) (*Report, error) {
+	side, err := fam.Side()
 	if err != nil {
 		return nil, fmt.Errorf("alice side: %w", err)
 	}
-	stats, err := lbfamily.MeasureStats(fam)
+	stats, err := fam.Stats()
 	if err != nil {
 		return nil, err
 	}
@@ -223,157 +279,83 @@ func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Con
 	if bandwidth == 0 {
 		bandwidth = congest.DefaultBandwidth(stats.N)
 	}
-	xs, ys, exhaustive, err := certifyPairs(fam.K(), cfg)
+	xs, ys, exhaustive, err := certifyPairs(fam.K, cfg)
 	if err != nil {
 		return nil, err
 	}
-
 	report := &Report{
-		Family:     fam.Name(),
-		Algorithm:  alg.Name,
-		Exact:      alg.Exact,
+		Family:     fam.Name,
+		Algorithm:  alg,
+		Exact:      exact,
 		Exhaustive: exhaustive,
 		Stats:      stats,
 		Bandwidth:  bandwidth,
 		Pairs:      make([]PairReport, len(xs)),
+		Total:      len(xs),
 	}
-	f := fam.Func()
-	// The transcript-checked pairs are the first cfg.TranscriptChecks
-	// canonical indices — a pure function of idx, not of visit order, so
-	// serial and sharded sweeps check (and replay) the same pairs.
-	runPair := func(arena *congest.Arena, idx int, g *graph.Graph, x, y comm.Bits) error {
-		factory, decide, err := alg.Prepare(g, bandwidth, pairSeed(cfg.Seed, idx))
-		if err != nil {
-			return fmt.Errorf("prepare (%s,%s): %w", x, y, err)
-		}
-		opts := congest.Options{BandwidthBits: bandwidth, MaxRounds: cfg.MaxRounds, CutSide: side, Faults: cfg.Faults, Arena: arena}
-		if cfg.Trace != nil {
-			opts.Trace = cfg.Trace(idx, x, y)
-		}
-		var started time.Time
-		if cfg.Metrics != nil {
-			started = time.Now() //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
-		}
-		var res *congest.Result
-		if idx < cfg.TranscriptChecks {
-			_, res, err = VerifySimulation(g, side, factory, opts)
-		} else {
-			res, err = congest.Run(g, factory, opts)
-		}
-		if err != nil {
-			return fmt.Errorf("run (%s,%s): %w", x, y, err)
-		}
-		output, err := decide(res)
-		if err != nil {
-			return fmt.Errorf("decide (%s,%s): %w", x, y, err)
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.ObservePair(time.Since(started).Seconds(), int64(res.Rounds), res.CutBits) //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
-		}
-		want := f.Eval(x, y)
-		report.Pairs[idx] = PairReport{
-			X: x.Clone(), Y: y.Clone(),
-			Rounds:      res.Rounds,
-			Messages:    res.Messages,
-			CutMessages: res.CutMessages,
-			CutBits:     res.CutBits,
-			Output:      output,
-			Want:        want,
-			Correct:     output == want,
-		}
-		return nil
-	}
+	f := fam.Func
 
-	report.Total = len(xs)
-	if cfg.Serial {
-		completed := 0
-		step := func(idx int, g *graph.Graph, x, y comm.Bits) error {
-			if err := ctx.Err(); err != nil {
-				return &lbfamily.CancelledError{Completed: completed, Total: report.Total, Err: err}
-			}
-			if err := safeStep(func() error { return runPair(nil, idx, g, x, y) }, x, y); err != nil {
-				return err
-			}
-			completed++
-			if cfg.Progress != nil {
-				cfg.Progress(completed, report.Total)
-			}
-			return nil
-		}
-		sweep := func() error {
-			if df, ok := fam.(lbfamily.DeltaFamily); ok && !cfg.ForceRebuild {
-				return certifyDelta(df, xs, ys, step)
-			}
-			for idx := range xs {
-				g, err := fam.Build(xs[idx], ys[idx])
-				if err != nil {
-					return fmt.Errorf("build (%s,%s): %w", xs[idx], ys[idx], err)
+	// A column is a fixed-y block of 2^K consecutive canonical indices
+	// for exhaustive sweeps (certifyPairs lays the cube out y-major in
+	// Gray order) and a single pair for sampled ones.
+	colLen := 1
+	if exhaustive {
+		colLen = len(xs) >> uint(fam.K)
+	}
+	// The Progress hook contract: serialized calls, strictly increasing
+	// completed counts. The mutex covers both the increment and the call.
+	var mu sync.Mutex
+	completed := 0
+	sw := lbfamily.Sweep[G]{
+		Cols: len(xs) / colLen, ColLen: colLen, K: fam.K, Workers: cfg.Workers, Build: fam.Build,
+		Pair: func(c, i int) (int, comm.Bits, comm.Bits) {
+			idx := c*colLen + i
+			return idx, xs[idx], ys[idx]
+		},
+		Worker: func(G) lbfamily.Step[G] {
+			sim := simulator(runSpec{cfg: cfg, bandwidth: bandwidth, side: side}, !cfg.Serial)
+			return func(idx int, g G, x, y comm.Bits) error {
+				var started time.Time
+				if cfg.Metrics != nil {
+					started = time.Now() //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
 				}
-				if err := step(idx, g, xs[idx], ys[idx]); err != nil {
+				p, err := sim(idx, g, x, y)
+				if err != nil {
 					return err
 				}
+				if cfg.Metrics != nil {
+					cfg.Metrics.ObservePair(time.Since(started).Seconds(), int64(p.Rounds), p.CutBits) //nolint:hardlint/detrand wall-clock feeds observability histograms only, never certification results
+				}
+				p.X, p.Y, p.Want = x.Clone(), y.Clone(), f.Eval(x, y)
+				p.Correct = p.Output == p.Want
+				report.Pairs[idx] = p
+				if cfg.Progress != nil {
+					mu.Lock()
+					completed++
+					cfg.Progress(completed, report.Total)
+					mu.Unlock()
+				}
+				return nil
 			}
-			return nil
+		},
+	}
+	if fam.BuildBase != nil && !cfg.ForceRebuild {
+		sw.BuildBase, sw.ApplyBit = fam.BuildBase, fam.ApplyBit
+	}
+	if cfg.Serial {
+		done, err := sw.Serial(ctx)
+		if err != nil {
+			return partialReport(report, done, f, err)
 		}
-		if err := sweep(); err != nil {
-			return partialReport(report, completed, f, err)
-		}
-		report.Completed = completed
+		report.Completed = done
 		report.finalize(f)
 		return report, report.checkBound()
 	}
-
-	// Sharded sweep (the default): workers claim Gray-code columns — for
-	// exhaustive sweeps a fixed-y block of 2^K consecutive canonical
-	// indices, for sampled sweeps single pairs — and certify them on
-	// worker-private instances with worker-private simulator arenas.
-	colLen := 1
-	if exhaustive {
-		colLen = len(xs) >> uint(fam.K()) // 2^K pairs per fixed-y column
+	status, err := sw.Run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	cols := (len(xs) + colLen - 1) / colLen
-	workers := sweepWorkers(cfg, cols)
-	arenas := make([]*congest.Arena, workers)
-	for i := range arenas {
-		arenas[i] = &congest.Arena{}
-	}
-	plan := &sweepPlan[*graph.Graph]{
-		xs: xs, ys: ys, k: fam.K(), colLen: colLen, workers: workers,
-		run: func(worker, idx int, g *graph.Graph, x, y comm.Bits) error {
-			return runPair(arenas[worker], idx, g, x, y)
-		},
-		progress: cfg.Progress,
-	}
-	if df, ok := fam.(lbfamily.DeltaFamily); ok && !cfg.ForceRebuild {
-		instances := make([]*graph.Graph, workers)
-		for i := range instances {
-			if err := ctx.Err(); err != nil {
-				return partialReport(report, 0, f, &lbfamily.CancelledError{Total: report.Total, Err: err})
-			}
-			base, err := df.BuildBase()
-			if err != nil {
-				return nil, fmt.Errorf("delta base build: %w", err)
-			}
-			instances[i] = base
-		}
-		plan.instances = instances
-		plan.applyBit = df.ApplyBit
-	} else {
-		plan.build = fam.Build
-	}
-	return resolveSweep(report, plan.execute(ctx), ctx.Err(), f)
-}
-
-// safeStep runs one pair's certification with panic confinement: a panic
-// becomes a *lbfamily.PanicError naming the pair instead of crashing the
-// sweep and losing the pairs already certified.
-func safeStep(run func() error, x, y comm.Bits) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &lbfamily.PanicError{X: x.Clone(), Y: y.Clone(), Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return run()
+	return resolveSweep(report, status, ctx.Err(), f)
 }
 
 // partialReport resolves an interrupted sweep: cancellations and confined
@@ -390,6 +372,39 @@ func partialReport(report *Report, completed int, f comm.Function, err error) (*
 	report.Completed = completed
 	report.finalize(f)
 	return report, err
+}
+
+// resolveSweep converts a sharded sweep's pair statuses into the report
+// and error the serial walk would have returned:
+//
+//   - every pair certified → the finalized complete report;
+//   - an earliest failure whose predecessors all completed → exactly the
+//     serial result, via partialReport: later pairs that happened to
+//     finish are discarded, as the serial walk would never have run them;
+//   - a cancelled sweep → the certified pairs compacted in list order
+//     plus a *lbfamily.CancelledError whose Completed matches len(Pairs).
+//     Cancellation takes precedence when the earliest failure's
+//     predecessors are incomplete (the serial-identical truncation is
+//     unavailable), and a sweep that finished every pair before the
+//     context fired is complete, not cancelled.
+func resolveSweep(report *Report, status []lbfamily.PairStatus, ctxErr error, f comm.Function) (*Report, error) {
+	done := 0
+	for idx, st := range status {
+		if st.Err != nil && (done == idx || ctxErr == nil) {
+			return partialReport(report, idx, f, st.Err)
+		}
+		if st.Done && st.Err == nil {
+			report.Pairs[done] = report.Pairs[idx]
+			done++
+		}
+	}
+	report.Pairs = report.Pairs[:done]
+	report.Completed = done
+	report.finalize(f)
+	if ctxErr != nil && done < report.Total {
+		return report, &lbfamily.CancelledError{Completed: done, Total: report.Total, Err: ctxErr}
+	}
+	return report, report.checkBound()
 }
 
 // finalize computes the aggregate Theorem 1.1 accounting from the
@@ -442,9 +457,10 @@ func (r *Report) checkBound() error {
 	return nil
 }
 
-// certifyPairs selects the certified input pairs: the full 2^(2K) cube in
-// Gray-friendly row-major order when cfg.Pairs == 0, otherwise the two
-// corner pairs plus deduplicated random draws up to cfg.Pairs total.
+// certifyPairs selects the certified input pairs, in canonical order: the
+// full 2^(2K) cube y-major in Gray columns when cfg.Pairs == 0, otherwise
+// the two corner pairs plus deduplicated random draws up to cfg.Pairs
+// total.
 func certifyPairs(k int, cfg Config) (xs, ys []comm.Bits, exhaustive bool, err error) {
 	if cfg.Pairs <= 0 {
 		if k > MaxExhaustiveCertifyK {
@@ -493,43 +509,6 @@ func certifyPairs(k int, cfg Config) (xs, ys []comm.Bits, exhaustive bool, err e
 	return xs, ys, false, nil
 }
 
-// certifyDelta walks the pair list on a single mutable instance built once
-// from BuildBase, toggling only the bits on which consecutive pairs differ
-// — the Config.Serial reference walk; the sharded default runs the same
-// toggles on worker-private instances (see shard.go).
-func certifyDelta(df lbfamily.DeltaFamily, xs, ys []comm.Bits, runPair func(idx int, g *graph.Graph, x, y comm.Bits) error) error {
-	g, err := df.BuildBase()
-	if err != nil {
-		return fmt.Errorf("delta base build: %w", err)
-	}
-	k := df.K()
-	curX, curY := comm.NewBits(k), comm.NewBits(k)
-	applyDiff := func(player int, cur, target comm.Bits) error {
-		var applyErr error
-		cur.ForEachDiff(target, func(i int) bool {
-			if err := df.ApplyBit(g, player, i, target.Get(i)); err != nil {
-				applyErr = err
-				return false
-			}
-			cur.Set(i, target.Get(i))
-			return true
-		})
-		return applyErr
-	}
-	for idx := range xs {
-		if err := applyDiff(lbfamily.PlayerY, curY, ys[idx]); err != nil {
-			return fmt.Errorf("delta apply y at (%s,%s): %w", xs[idx], ys[idx], err)
-		}
-		if err := applyDiff(lbfamily.PlayerX, curX, xs[idx]); err != nil {
-			return fmt.Errorf("delta apply x at (%s,%s): %w", xs[idx], ys[idx], err)
-		}
-		if err := runPair(idx, g, xs[idx], ys[idx]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // splitmix64 is the package's shared bit mixer, used for per-pair seeds
 // and shared-randomness sampling coins.
 func splitmix64(x uint64) uint64 {
@@ -543,13 +522,4 @@ func splitmix64(x uint64) uint64 {
 // order.
 func pairSeed(seed int64, idx int) int64 {
 	return int64(splitmix64(uint64(seed) ^ splitmix64(uint64(idx))))
-}
-
-// familySide mirrors lbfamily's side resolution: DerivedFamily surfaces
-// its build error through AliceSideChecked.
-func familySide(fam lbfamily.Family) ([]bool, error) {
-	if checked, ok := fam.(interface{ AliceSideChecked() ([]bool, error) }); ok {
-		return checked.AliceSideChecked()
-	}
-	return fam.AliceSide(), nil
 }
