@@ -31,7 +31,6 @@ import (
 	"congesthard/internal/constructions/mvclb"
 	"congesthard/internal/constructions/steinerlb"
 	"congesthard/internal/cover"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
@@ -536,6 +535,27 @@ func BenchmarkCongestRunCore(b *testing.B) {
 			g.MustAddEdge(v, (v+off)%n)
 		}
 	}
+	benchRunCore(b, g)
+}
+
+// BenchmarkDicongestRunCore is BenchmarkCongestRunCore on a digraph: the
+// flood runs over the links of a 64-vertex out-degree-4 directed
+// circulant (each vertex has 8 full-duplex links, 512 messages per round
+// network-wide), so it adds the digraph lowering to the same core.
+func BenchmarkDicongestRunCore(b *testing.B) {
+	const n = 64
+	d := graph.NewDigraph(n)
+	for v := 0; v < n; v++ {
+		for off := 1; off <= 4; off++ {
+			d.MustAddArc(v, (v+off)%n)
+		}
+	}
+	benchRunCore(b, d)
+}
+
+// benchRunCore floods every link of g for 64 and 1024 rounds, and for
+// 1024 rounds under a drop+delay plan.
+func benchRunCore[G *graph.Graph | *graph.Digraph](b *testing.B, g G) {
 	var err error
 	for _, bc := range []struct {
 		rounds int
@@ -563,72 +583,6 @@ func BenchmarkCongestRunCore(b *testing.B) {
 			var res *congest.Result
 			for i := 0; i < b.N; i++ {
 				res, err = congest.Run(g, factory, congest.Options{MaxRounds: rounds + 2, Faults: plan})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds/op")
-			b.ReportMetric(float64(res.Messages), "msgs/op")
-		})
-	}
-}
-
-// diChatterNode is chatterNode for the directed simulator.
-type diChatterNode struct {
-	outbox []dicongest.Message
-	budget int
-}
-
-func (c *diChatterNode) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
-	if round >= c.budget {
-		return nil, true
-	}
-	return c.outbox, false
-}
-
-func (c *diChatterNode) Output() interface{} { return nil }
-
-// BenchmarkDicongestRunCore measures the directed simulator core: an
-// all-to-links flood on a 64-vertex out-degree-4 directed circulant (each
-// vertex has 8 full-duplex links, 512 messages per round network-wide).
-// allocs/op is flat across the rounds sub-benchmarks — the per-round
-// simulation is allocation-free, like the undirected core, with or
-// without a fault plan.
-func BenchmarkDicongestRunCore(b *testing.B) {
-	const n = 64
-	d := graph.NewDigraph(n)
-	for v := 0; v < n; v++ {
-		for off := 1; off <= 4; off++ {
-			d.MustAddArc(v, (v+off)%n)
-		}
-	}
-	var err error
-	for _, bc := range []struct {
-		rounds int
-		plan   *faults.Plan
-	}{
-		{64, nil},
-		{1024, nil},
-		{1024, &faults.Plan{Seed: 5, DropProb: 0.02, MaxDelay: 2}},
-	} {
-		name := fmt.Sprintf("rounds=%d", bc.rounds)
-		if bc.plan != nil {
-			name += ",faults"
-		}
-		rounds, plan := bc.rounds, bc.plan
-		b.Run(name, func(b *testing.B) {
-			factory := func(local dicongest.Local) dicongest.Node {
-				out := make([]dicongest.Message, len(local.Neighbors))
-				for i, nbr := range local.Neighbors {
-					out[i] = dicongest.Message{To: nbr, Payload: int64(local.ID)}
-				}
-				return &diChatterNode{outbox: out, budget: rounds}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *dicongest.Result
-			for i := 0; i < b.N; i++ {
-				res, err = dicongest.Run(d, factory, dicongest.Options{MaxRounds: rounds + 2, Faults: plan})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,7 +17,7 @@
 //	hardness -certify mds -alg collect          # exhaustive (K <= 8)
 //	hardness -certify mds -alg greedy -pairs 32 # sampled
 //	hardness -certify maxcut -alg sampled -pairs 16 -seed 7
-//	hardness -certify hamlb -alg collect        # directed (dicongest) pairing
+//	hardness -certify hamlb -alg collect        # directed (digraph) pairing
 //	hardness -certify dir-steiner -alg collect -pairs 8
 //
 // Sweeps are sharded across GOMAXPROCS cores by default and report the

@@ -1,7 +1,7 @@
 // Command certify-directed walks the directed reduction engine end to end
 // on the Theorem 2.2 Hamiltonian path family: it certifies the exact
 // collect-and-solve upper bound over every input pair through the
-// dicongest simulator, shows the greedy path-walking heuristic being
+// simulator on the digraph, shows the greedy path-walking heuristic being
 // flagged as not deciding the predicate, and extracts one run's two-party
 // transcript over the arc cut — Theorem 1.1 for the paper's directed
 // constructions made concrete.
@@ -13,8 +13,8 @@ import (
 
 	"congesthard/internal/algorithms"
 	"congesthard/internal/comm"
+	"congesthard/internal/congest"
 	"congesthard/internal/constructions/hamlb"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 	"congesthard/internal/reduction"
 )
@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	transcript, res, err := reduction.VerifyDigraphSimulation(d, fam.AliceSide(), factory, dicongest.Options{})
+	transcript, res, err := reduction.VerifySimulation(d, fam.AliceSide(), factory, congest.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -138,16 +138,10 @@ type collectCore struct {
 	spec CollectSpec
 }
 
-type collectNode struct {
-	collectCore
-	outbox []congest.Message
-}
+type collectNode struct{ collectCore }
 
 func newCollectNode(local congest.Local, n, bw, budget, wchunks, records int, spec CollectSpec) *collectNode {
-	return &collectNode{
-		collectCore: newCollectCore(local, n, bw, budget, wchunks, records, spec),
-		outbox:      make([]congest.Message, 0, len(local.Neighbors)),
-	}
+	return &collectNode{newCollectCore(local, n, bw, budget, wchunks, records, spec)}
 }
 
 // newCollectCore seeds the record store with the vertex's incident kept
@@ -169,26 +163,11 @@ func newCollectCore(local congest.Local, n, cw, budget, wchunks, records int, sp
 	return c
 }
 
-// Round ingests the per-neighbor frame streams and emits the next chunk of
-// each neighbor's stream; at the budget the roots reconstruct and evaluate.
+// Round gossips; at the budget the roots reconstruct and evaluate.
 func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
-	i := 0
-	for _, msg := range inbox {
-		var ok bool
-		if i, ok = c.rank(msg.From, i); ok {
-			c.ingest(i, msg.Payload)
-		}
-	}
-	if round >= c.budget {
+	if c.gossip(round, inbox) {
 		c.finish()
 		return nil, true
-	}
-	c.outbox = c.outbox[:0]
-	for i, nbr := range c.nbrs {
-		if chunk, ok := c.chunk(i); ok {
-			c.outbox = append(c.outbox, congest.Message{To: nbr, Payload: chunk})
-			c.advance(i)
-		}
 	}
 	return c.outbox, false
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"congesthard/internal/congest"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 )
 
 // This file implements collect-and-solve for directed instances as a real
-// dicongest program, the directed twin of collect.go: every vertex gossips
-// *arc* records over its full-duplex links, one fixed-length frame chunk
-// per arc per round. A record is the oriented weighted arc (from, to, w);
+// simulator program, the directed counterpart of collect.go: every vertex
+// gossips *arc* records over its full-duplex links, one fixed-length frame
+// chunk per arc per round. A record is the oriented weighted arc (from, to, w);
 // its frame is 1 + weightChunks messages: first the id chunk from*n + to
 // (which fits the CONGEST bandwidth B >= 2*ceil(log2(n+1))), then the
 // weight in B-bit little-endian chunks (zero chunks when every kept weight
@@ -56,7 +55,7 @@ type DiCollectSpec struct {
 // the node factory together with the round budget baked into it. bandwidth
 // must be the BandwidthBits the simulation will run with (0 selects the
 // default), because the frame layout depends on it.
-func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dicongest.Factory, int, error) {
+func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (congest.Factory, int, error) {
 	n := d.N()
 	if n == 0 {
 		return nil, 0, fmt.Errorf("collect requires a non-empty digraph")
@@ -77,7 +76,7 @@ func DiCollectFactory(d *graph.Digraph, bandwidth int, spec DiCollectSpec) (dico
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
-	factory := func(local dicongest.Local) dicongest.Node {
+	factory := func(local congest.Local) congest.Node {
 		return newDiCollectNode(local, n, bandwidth, budget, wchunks, records, spec)
 	}
 	return factory, budget, nil
@@ -94,7 +93,7 @@ func weaklyConnected(d *graph.Digraph) bool {
 // DiCollectTotal sums the root values of a finished run: the single root's
 // value under filtered collection, the per-weak-component values under
 // full collection (exact for component-additive quantities).
-func DiCollectTotal(res *dicongest.Result) (int64, error) {
+func DiCollectTotal(res *congest.Result) (int64, error) {
 	return sumRoots(res.Outputs, "directed collect")
 }
 
@@ -103,15 +102,13 @@ func DiCollectTotal(res *dicongest.Result) (int64, error) {
 // already oriented.
 type diCollectNode struct {
 	recordStore
-	spec   DiCollectSpec
-	outbox []dicongest.Message
+	spec DiCollectSpec
 }
 
-func newDiCollectNode(local dicongest.Local, n, bw, budget, wchunks, records int, spec DiCollectSpec) *diCollectNode {
+func newDiCollectNode(local congest.Local, n, bw, budget, wchunks, records int, spec DiCollectSpec) *diCollectNode {
 	c := &diCollectNode{
 		recordStore: newRecordStore(local.ID, n, local.Neighbors, spec.Keep == nil, bw, wchunks, budget, records),
 		spec:        spec,
-		outbox:      make([]dicongest.Message, 0, len(local.Neighbors)),
 	}
 	for i, to := range local.OutNeighbors {
 		c.consider(local.ID, to, local.OutWeights[i])
@@ -128,26 +125,11 @@ func (c *diCollectNode) consider(from, to int, w int64) {
 	}
 }
 
-// Round ingests the per-neighbor frame streams and emits the next chunk of
-// each neighbor's stream; at the budget the roots reconstruct and evaluate.
-func (c *diCollectNode) Round(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
-	i := 0
-	for _, msg := range inbox {
-		var ok bool
-		if i, ok = c.rank(msg.From, i); ok {
-			c.ingest(i, msg.Payload)
-		}
-	}
-	if round >= c.budget {
+// Round gossips; at the budget the roots reconstruct and evaluate.
+func (c *diCollectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+	if c.gossip(round, inbox) {
 		c.finish()
 		return nil, true
-	}
-	c.outbox = c.outbox[:0]
-	for i, nbr := range c.nbrs {
-		if chunk, ok := c.chunk(i); ok {
-			c.outbox = append(c.outbox, dicongest.Message{To: nbr, Payload: chunk})
-			c.advance(i)
-		}
 	}
 	return c.outbox, false
 }

@@ -3,19 +3,19 @@ package algorithms
 import (
 	"testing"
 
-	"congesthard/internal/dicongest"
+	"congesthard/internal/congest"
 	"congesthard/internal/graph"
 )
 
 // runDiCollect builds the factory, runs the simulation and returns the
 // summed root values.
-func runDiCollect(t *testing.T, d *graph.Digraph, spec DiCollectSpec) (int64, *dicongest.Result) {
+func runDiCollect(t *testing.T, d *graph.Digraph, spec DiCollectSpec) (int64, *congest.Result) {
 	t.Helper()
 	factory, budget, err := DiCollectFactory(d, 0, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dicongest.Run(d, factory, dicongest.Options{MaxRounds: budget + 4})
+	res, err := congest.Run(d, factory, congest.Options{MaxRounds: budget + 4})
 	if err != nil {
 		t.Fatal(err)
 	}

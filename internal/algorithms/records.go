@@ -1,11 +1,16 @@
 package algorithms
 
-import "fmt"
+import (
+	"fmt"
+
+	"congesthard/internal/congest"
+)
 
 // This file holds the record store that the three collect programs
 // (collect, collect-retry and the directed collect) embed: the records a
 // vertex knows, their deduplication, the per-neighbor frame streams that
-// relay them, and the end-of-budget root election.
+// relay them, the plain programs' gossip round, and the end-of-budget
+// root election.
 
 // record is one collected edge or arc (a, b, w), keyed a*n + b: the
 // canonical edge {a, b} (a < b) for the undirected programs, the oriented
@@ -40,8 +45,9 @@ type recordStore struct {
 	cw      int  // data bits per chunk: the bandwidth, less collect-retry's header
 	wchunks int
 	budget  int   // the round at which nodes stop and roots evaluate
-	nbrs    []int // sorted ascending, as both simulators hand them out
+	nbrs    []int // sorted ascending, as the simulator hands them out
 	links   []link
+	outbox  []congest.Message
 	records []record
 	seen    []uint64 // dedup bitset over the keys in [0, n^2)
 	parent  []int    // union-find forest over vertex ids, built at the budget
@@ -55,6 +61,7 @@ func newRecordStore(id, n int, nbrs []int, full bool, cw, wchunks, budget, capac
 		id: id, n: n, full: full, cw: cw, wchunks: wchunks, budget: budget,
 		nbrs:    nbrs,
 		links:   make([]link, len(nbrs)),
+		outbox:  make([]congest.Message, 0, len(nbrs)),
 		records: make([]record, 0, capacity),
 		seen:    make([]uint64, (n*n+63)/64),
 	}
@@ -127,6 +134,31 @@ func (s *recordStore) advance(i int) {
 		l.sendChunk = 0
 		l.sendRec++
 	}
+}
+
+// gossip is one round of the plain collect programs: it ingests the
+// per-neighbor frame streams and, before the budget, queues the next
+// chunk of each neighbor's stream in outbox. At the budget it sends
+// nothing and reports atBudget; the caller then finishes.
+func (s *recordStore) gossip(round int, inbox []congest.Incoming) (atBudget bool) {
+	i := 0
+	for _, msg := range inbox {
+		var ok bool
+		if i, ok = s.rank(msg.From, i); ok {
+			s.ingest(i, msg.Payload)
+		}
+	}
+	if round >= s.budget {
+		return true
+	}
+	s.outbox = s.outbox[:0]
+	for i, nbr := range s.nbrs {
+		if chunk, ok := s.chunk(i); ok {
+			s.outbox = append(s.outbox, congest.Message{To: nbr, Payload: chunk})
+			s.advance(i)
+		}
+	}
+	return false
 }
 
 // elect decides whether this vertex is a root. Under filtered collection

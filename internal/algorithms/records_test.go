@@ -8,7 +8,6 @@ import (
 	"congesthard/internal/comm"
 	"congesthard/internal/congest"
 	"congesthard/internal/constructions/mdslb"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 	"congesthard/internal/solver"
 )
@@ -116,11 +115,11 @@ func TestUnionFindElectsComponentsRoots(t *testing.T) {
 			t.Fatal(err)
 		}
 		stores := make([]*recordStore, d.N())
-		res, err := dicongest.Run(d, func(l dicongest.Local) dicongest.Node {
+		res, err := congest.Run(d, func(l congest.Local) congest.Node {
 			node := factory(l).(*diCollectNode)
 			stores[l.ID] = &node.recordStore
 			return node
-		}, dicongest.Options{MaxRounds: budget + 4})
+		}, congest.Options{MaxRounds: budget + 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +167,13 @@ func TestMalformedRecordsReachVertexZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dres, err := dicongest.Run(d, func(l dicongest.Local) dicongest.Node {
+			dres, err := congest.Run(d, func(l congest.Local) congest.Node {
 				node := dfactory(l).(*diCollectNode)
 				if l.ID == at {
 					inject(&node.recordStore)
 				}
 				return node
-			}, dicongest.Options{MaxRounds: budget + 4})
+			}, congest.Options{MaxRounds: budget + 4})
 			if err != nil {
 				t.Fatal(err)
 			}

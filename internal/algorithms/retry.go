@@ -106,16 +106,13 @@ type arq struct {
 
 type collectRetryNode struct {
 	collectCore
-	arq    []arq
-	outbox []congest.Message
+	arq []arq
 }
 
 func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec) *collectRetryNode {
-	deg := len(local.Neighbors)
 	c := &collectRetryNode{
 		collectCore: newCollectCore(local, n, cw, budget, wchunks, records, spec),
-		arq:         make([]arq, deg),
-		outbox:      make([]congest.Message, 0, deg),
+		arq:         make([]arq, len(local.Neighbors)),
 	}
 	for i := range c.arq {
 		// lastAcc starts opposite the first data sequence bit, so the ack

@@ -1,24 +1,34 @@
 // Package congest simulates the CONGEST model of distributed computing:
-// n nodes communicate over the edges of an underlying graph in synchronous
-// rounds, sending at most one B-bit message per edge per direction per
-// round, with B = O(log n) (the paper's Section 1 setting).
+// n nodes communicate over the links of a network in synchronous rounds,
+// sending at most one B-bit message per link per direction per round,
+// with B = O(log n) (the paper's Section 1 setting).
+//
+// Run takes either graph kind. On an undirected graph the links are its
+// edges. On a digraph every arc is a full-duplex link (antiparallel arc
+// pairs collapse to one link), and arc directions and weights are input
+// data each endpoint knows at wakeup: the setting of the paper's directed
+// constructions (Theorem 2.2's Hamiltonian path, Theorem 4.7's directed
+// Steiner tree), where the network is bidirectional and only the
+// instance is oriented. The Theorem 1.1 accounting is the same for both.
 //
 // The simulator is deterministic and single-goroutine: node programs are
 // state machines driven round by round. It meters rounds, messages and —
 // when a vertex bipartition is supplied — the messages and bits crossing
 // the cut, which is exactly the quantity that the Alice-Bob framework of
-// Theorem 1.1 charges for.
+// Theorem 1.1 charges for. On a digraph the crossing links are the arc
+// cut E_cut (antiparallel cut arcs share one link).
 //
-// The core is allocation-free in steady state: Run precomputes a routing
-// index from the graph's CSR snapshot (per-directed-edge slots for O(1)
-// message validation, duplicate detection and delivery) and double-buffers
-// flat, CSR-offset inbox arrays, so after setup no heap allocation happens
-// per round. Inboxes are delivered in neighbor-rank order (ascending
-// sender id) by construction — no sorting.
+// The core is allocation-free in steady state: Run lowers either graph
+// kind to one channel CSR (per-directed-channel slots for O(1) message
+// validation, duplicate detection and delivery) and double-buffers flat,
+// CSR-offset inbox arrays, so after setup no heap allocation happens per
+// round. Inboxes are delivered in ascending sender id order by
+// construction — no sorting.
 package congest
 
 import (
 	"fmt"
+	"slices"
 
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
@@ -37,14 +47,22 @@ type Incoming struct {
 }
 
 // Local is the information a node knows at wakeup: its id, the network
-// size, its incident edges (neighbor ids and edge weights, index-aligned,
-// sorted by neighbor id), its own vertex weight, and optional
-// problem-specific input.
+// size, its link neighbors (sorted by id: the vertices it can exchange
+// messages with), its own vertex weight, and optional problem-specific
+// input. On an undirected run EdgeWeights is index-aligned with
+// Neighbors and the four directed fields are nil. On a directed run
+// EdgeWeights is nil, Neighbors is the union of out- and in-neighbors,
+// and the out-arcs and in-arcs come with their weights (index-aligned,
+// sorted by the other endpoint's id).
 type Local struct {
 	ID           int
 	N            int
 	Neighbors    []int
 	EdgeWeights  []int64
+	OutNeighbors []int
+	OutWeights   []int64
+	InNeighbors  []int
+	InWeights    []int64
 	VertexWeight int64
 	Data         interface{}
 }
@@ -87,9 +105,10 @@ type Options struct {
 	// and permanent link failures (see internal/faults). Faults act after
 	// send validation and metering — a dropped or delayed message still
 	// costs its sender bandwidth and is still observed by Meter; the
-	// network simply loses or holds it. The same graph + plan replays
-	// bit-identically, and with Faults == nil the round loop is untouched
-	// (still allocation-free, like the Meter hook).
+	// network simply loses or holds it. Link failures apply to the
+	// unordered vertex pair, so antiparallel arcs fail together. The same
+	// graph + plan replays bit-identically, and with Faults == nil the
+	// round loop is untouched (still allocation-free, like the Meter hook).
 	Faults *faults.Plan
 	// Trace, if non-nil, observes every synchronous round after it
 	// executes (see Tracer and RoundTrace). Strictly opt-in like Meter
@@ -98,23 +117,26 @@ type Options struct {
 	// callback receives a stack-passed struct, so an allocation-free
 	// tracer keeps the run allocation-free.
 	Trace Tracer
-	// Arena, if non-nil, lends Run reusable setup scratch — routing
-	// index, inbox buffers, fault rings — so a caller looping over many
-	// runs (the sharded certify sweep) amortizes the per-run setup
-	// allocations away. Results are bit-identical with or without an
-	// arena; an Arena must not be shared by concurrent Runs.
+	// Arena, if non-nil, lends Run reusable setup scratch — channel CSR,
+	// routing index, inbox buffers, fault rings — so a caller looping
+	// over many runs (the sharded certify sweep) amortizes the per-run
+	// setup allocations away. Results are bit-identical with or without
+	// an arena; an Arena must not be shared by concurrent Runs.
 	Arena *Arena
 }
 
 // Arena is reusable per-run scratch for Run: every internal buffer the
-// simulator would otherwise allocate per run (the dense routing table,
-// receive-slot map, cut classification, double-buffered inboxes, fault
-// rings, node table) is borrowed from the arena and grown on demand, so
-// steady-state reuse allocates only what escapes the run (Local views
-// and Result outputs). The zero value is ready to use. An arena is not
-// safe for concurrent use: give each goroutine its own.
+// simulator would otherwise allocate per run (a digraph's channel CSR,
+// the dense routing table, receive-slot map, cut classification,
+// double-buffered inboxes, fault rings, node table) is borrowed from the
+// arena and grown on demand, so steady-state reuse allocates only what
+// escapes the run (Local views and Result outputs). The zero value is
+// ready to use. An arena is not safe for concurrent use: give each
+// goroutine its own.
 type Arena struct {
 	nodes       []Node
+	chOffsets   []int32
+	chNbr       []int32
 	denseIdx    []int32
 	sparseIdx   map[int64]int32
 	recvAt      []int32
@@ -166,13 +188,114 @@ func DefaultBandwidth(n int) int {
 	return 2 * b
 }
 
+// channels is the CSR every run routes over: vertex v's window
+// nbr[offsets[v]:offsets[v+1]] lists its link neighbors in ascending id
+// order, and slot offsets[v]+i is the directed channel v -> nbr[offsets[v]+i].
+type channels struct {
+	offsets []int32
+	nbr     []int32
+}
+
+func (ch *channels) window(v int) []int32 { return ch.nbr[ch.offsets[v]:ch.offsets[v+1]] }
+
+// network is an instance of either kind lowered to its channel CSR.
+// Below lowering, Run never asks which kind it has, except to build the
+// Local views.
+type network struct {
+	g   *graph.Graph   // the undirected instance, or nil
+	d   *graph.Digraph // the directed instance, or nil
+	adj *graph.CSR     // g's frozen CSR, or d's out-adjacency
+	ch  channels
+}
+
+func (net *network) n() int {
+	if net.g != nil {
+		return net.g.N()
+	}
+	return net.d.N()
+}
+
+// lower builds the channel CSR. An undirected graph's frozen CSR is its
+// channel CSR as it is; a digraph's links are built into arena buffers.
+func (net *network) lower(ar *Arena) {
+	if net.g != nil {
+		net.adj = net.g.Freeze()
+		net.ch.offsets, net.ch.nbr = net.adj.Flat()
+		return
+	}
+	net.adj = net.d.FreezePatchable()
+	net.ch = buildChannels(net.d, net.adj, ar)
+}
+
+// buildChannels lowers a digraph to its link CSR: each window is v's
+// out-window plus the in-neighbors that are not also out-neighbors,
+// sorted, so an antiparallel arc pair is one channel per direction.
+func buildChannels(d *graph.Digraph, out *graph.CSR, ar *Arena) channels {
+	n := d.N()
+	ch := channels{offsets: arenaSlice(&ar.chOffsets, n+1)}
+	ch.offsets[0] = 0
+	if cap(ar.chNbr) < 2*d.M() {
+		ar.chNbr = make([]int32, 0, 2*d.M())
+	}
+	ch.nbr = ar.chNbr[:0]
+	for v := 0; v < n; v++ {
+		start := len(ch.nbr)
+		onbrs, _ := out.Window(v)
+		ch.nbr = append(ch.nbr, onbrs...)
+		for _, h := range d.InNeighbors(v) {
+			if out.Rank(v, h.To) < 0 {
+				ch.nbr = append(ch.nbr, int32(h.To))
+			}
+		}
+		slices.Sort(ch.nbr[start:])
+		ch.offsets[v+1] = int32(len(ch.nbr))
+	}
+	ar.chNbr = ch.nbr
+	return ch
+}
+
+// local builds v's wakeup view. A directed run finds v's in-arcs by
+// walking its sorted link window and keeping each u whose out-window
+// holds v, so they come out sorted with no sort; the weight is read from
+// u's out-window.
+func (net *network) local(v int) Local {
+	links := net.ch.window(v)
+	local := Local{ID: v, Neighbors: make([]int, len(links))}
+	for i, u := range links {
+		local.Neighbors[i] = int(u)
+	}
+	if net.g != nil {
+		local.N, local.VertexWeight = net.g.N(), net.g.VertexWeight(v)
+		_, wts := net.adj.Window(v)
+		local.EdgeWeights = slices.Clone(wts)
+		return local
+	}
+	local.N, local.VertexWeight = net.d.N(), net.d.VertexWeight(v)
+	onbrs, owts := net.adj.Window(v)
+	local.OutNeighbors = make([]int, len(onbrs))
+	for i, to := range onbrs {
+		local.OutNeighbors[i] = int(to)
+	}
+	local.OutWeights = slices.Clone(owts)
+	local.InNeighbors = make([]int, 0, net.d.InDegree(v))
+	local.InWeights = make([]int64, 0, net.d.InDegree(v))
+	for _, u := range links {
+		if r := net.adj.Rank(int(u), v); r >= 0 {
+			_, uw := net.adj.Window(int(u))
+			local.InNeighbors = append(local.InNeighbors, int(u))
+			local.InWeights = append(local.InWeights, uw[r])
+		}
+	}
+	return local
+}
+
 // maxDenseEdgeIndex caps the n*n dense routing table at 4 MB; larger
 // networks fall back to a prebuilt hash map (still O(1) expected, still
 // allocation-free per round).
 const maxDenseEdgeIndex = 1 << 10
 
-// edgeIndex resolves (from, to) to the global directed-edge slot in O(1),
-// or -1 when the edge does not exist. It is built once per Run.
+// edgeIndex resolves (from, to) to the global directed-channel slot in
+// O(1), or -1 when the link does not exist. It is built once per Run.
 type edgeIndex struct {
 	n      int
 	dense  []int32         // n*n table, or nil
@@ -181,8 +304,8 @@ type edgeIndex struct {
 
 // buildEdgeIndex constructs the routing index, borrowing the table (or
 // map) from the arena.
-func buildEdgeIndex(c *graph.CSR, ar *Arena) edgeIndex {
-	n := c.N()
+func buildEdgeIndex(ch *channels, ar *Arena) edgeIndex {
+	n := len(ch.offsets) - 1
 	ei := edgeIndex{n: n}
 	if n <= maxDenseEdgeIndex {
 		ei.dense = arenaSlice(&ar.denseIdx, n*n)
@@ -190,25 +313,23 @@ func buildEdgeIndex(c *graph.CSR, ar *Arena) edgeIndex {
 			ei.dense[i] = -1
 		}
 		for v := 0; v < n; v++ {
-			nbrs, _ := c.Window(v)
-			base := c.Offset(v)
-			for i, to := range nbrs {
-				ei.dense[v*n+int(to)] = int32(base + i)
+			base := ch.offsets[v]
+			for i, to := range ch.window(v) {
+				ei.dense[v*n+int(to)] = base + int32(i)
 			}
 		}
 		return ei
 	}
 	if ar.sparseIdx == nil {
-		ar.sparseIdx = make(map[int64]int32, c.Slots())
+		ar.sparseIdx = make(map[int64]int32, len(ch.nbr))
 	} else {
 		clear(ar.sparseIdx)
 	}
 	ei.sparse = ar.sparseIdx
 	for v := 0; v < n; v++ {
-		nbrs, _ := c.Window(v)
-		base := c.Offset(v)
-		for i, to := range nbrs {
-			ei.sparse[int64(v)*int64(n)+int64(to)] = int32(base + i)
+		base := ch.offsets[v]
+		for i, to := range ch.window(v) {
+			ei.sparse[int64(v)*int64(n)+int64(to)] = base + int32(i)
 		}
 	}
 	return ei
@@ -227,11 +348,19 @@ func (ei *edgeIndex) slot(from, to int) int32 {
 	return -1
 }
 
-// Run simulates the factory's programs on g until every node terminates.
+// Run simulates the factory's programs on g, an undirected graph or a
+// digraph, until every node terminates.
 //
 //hardness:hotpath
-func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
-	n := g.N()
+func Run[G *graph.Graph | *graph.Digraph](g G, factory Factory, opts Options) (*Result, error) {
+	var net network
+	switch g := any(g).(type) {
+	case *graph.Graph:
+		net.g = g
+	case *graph.Digraph:
+		net.d = g
+	}
+	n := net.n()
 	if opts.Meter != nil && opts.CutSide == nil {
 		return nil, fmt.Errorf("metering enabled (Options.Meter) but no cut bipartition: CutSide is nil, want %d entries marking Alice's side", n)
 	}
@@ -253,54 +382,41 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 		maxRounds = 4*n*n + 64
 	}
 
-	csr := g.Freeze()
-	slots := csr.Slots()
 	ar := opts.Arena
 	if ar == nil {
 		ar = &Arena{} // a throwaway arena: every borrow allocates fresh
 	}
+	net.lower(ar)
+	ch := net.ch
+	slots := len(ch.nbr)
 
 	nodes := arenaSlice(&ar.nodes, n)
 	//hardness:setup
 	for v := 0; v < n; v++ {
-		nbrs, wts := csr.Window(v)
-		local := Local{
-			ID:           v,
-			N:            n,
-			Neighbors:    make([]int, len(nbrs)),
-			EdgeWeights:  make([]int64, len(nbrs)),
-			VertexWeight: g.VertexWeight(v),
-		}
-		for i, to := range nbrs {
-			local.Neighbors[i] = int(to)
-			local.EdgeWeights[i] = wts[i]
-		}
-		nodes[v] = factory(local)
+		nodes[v] = factory(net.local(v))
 	}
 
-	// Routing index: for the directed edge v -> to stored at slot s in v's
-	// window, recvAt[s] is the slot of that message in to's inbox (the rank
-	// of v among to's sorted neighbors), and cutCross[s] marks cut edges.
-	ei := buildEdgeIndex(csr, ar)
+	// Routing index: for the directed channel v -> to stored at slot s in
+	// v's window, recvAt[s] is the slot of that message in to's inbox (the
+	// slot of the reverse channel to -> v).
+	ei := buildEdgeIndex(&ch, ar)
 	recvAt := arenaSlice(&ar.recvAt, slots)
 	for v := 0; v < n; v++ {
-		nbrs, _ := csr.Window(v)
-		base := csr.Offset(v)
-		for i, to := range nbrs {
-			recvAt[base+i] = int32(csr.Slot(int(to), v))
+		base := int(ch.offsets[v])
+		for i, to := range ch.window(v) {
+			recvAt[base+i] = ei.slot(int(to), v)
 		}
 	}
-	// slotDir classifies each directed edge relative to the bipartition:
-	// internal, Alice→Bob or Bob→Alice. Built only when a cut is supplied,
-	// so unmetered runs pay nothing. Every slot is written (the arena may
-	// hold a previous run's classification).
+	// slotDir classifies each directed channel relative to the
+	// bipartition: internal, Alice→Bob or Bob→Alice. Built only when a cut
+	// is supplied, so unmetered runs pay nothing. Every slot is written
+	// (the arena may hold a previous run's classification).
 	var slotDir []Direction
 	if opts.CutSide != nil {
 		slotDir = arenaSlice(&ar.slotDir, slots)
 		for v := 0; v < n; v++ {
-			nbrs, _ := csr.Window(v)
-			base := csr.Offset(v)
-			for i, to := range nbrs {
+			base := int(ch.offsets[v])
+			for i, to := range ch.window(v) {
 				if opts.CutSide[v] != opts.CutSide[to] {
 					if opts.CutSide[v] {
 						slotDir[base+i] = DirAliceToBob
@@ -332,9 +448,8 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("fault plan: %w", err)
 		}
 		for v := 0; v < n; v++ {
-			nbrs, _ := csr.Window(v)
-			base := csr.Offset(v)
-			for i, to := range nbrs {
+			base := int(ch.offsets[v])
+			for i, to := range ch.window(v) {
 				inj.BindSlot(int32(base+i), v, int(to))
 			}
 		}
@@ -353,13 +468,13 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 	}
 
 	// Double-buffered flat inboxes: slot s of the current buffer holds the
-	// payload sent over the corresponding directed edge, stamped with the
-	// round it is to be delivered in (stale slots are simply never read —
-	// no per-round clearing, which also makes arena reuse across runs
-	// safe). inboxArena holds the compacted inbox slices handed to Round,
-	// one CSR window per vertex, delivered in neighbor-rank (ascending
-	// sender id) order by construction. With faults on, the ring arrays
-	// above replace the double buffer.
+	// payload sent over the corresponding directed channel, stamped with
+	// the round it is to be delivered in (stale slots are simply never
+	// read — no per-round clearing, which also makes arena reuse across
+	// runs safe). inboxArena holds the compacted inbox slices handed to
+	// Round, one window per vertex, delivered in ascending sender id order
+	// by construction. With faults on, the ring arrays above replace the
+	// double buffer.
 	var curPayload, nextPayload []int64
 	var curStamp, nextStamp []int32
 	if inj == nil {
@@ -407,13 +522,13 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 				trActive--
 				continue
 			}
-			base, end := csr.Offset(v), csr.Offset(v+1)
-			nbrs, _ := csr.Window(v)
+			base, end := int(ch.offsets[v]), int(ch.offsets[v+1])
+			window := ch.nbr[base:end]
 			cnt := 0
 			if inj == nil {
 				for i := base; i < end; i++ {
 					if curStamp[i] == int32(round) {
-						inboxArena[base+cnt] = Incoming{From: int(nbrs[i-base]), Payload: curPayload[i]}
+						inboxArena[base+cnt] = Incoming{From: int(window[i-base]), Payload: curPayload[i]}
 						cnt++
 					}
 				}
@@ -421,7 +536,7 @@ func Run(g *graph.Graph, factory Factory, opts Options) (*Result, error) {
 				ri := round % ringD
 				for i := base; i < end; i++ {
 					if ringStamp[i*ringD+ri] == int32(round) {
-						inboxArena[base+cnt] = Incoming{From: int(nbrs[i-base]), Payload: ringPayload[i*ringD+ri]}
+						inboxArena[base+cnt] = Incoming{From: int(window[i-base]), Payload: ringPayload[i*ringD+ri]}
 						cnt++
 					}
 				}
@@ -524,7 +639,7 @@ func (e *RoundsError) Error() string {
 // RoundsExceededError builds the MaxRounds-exhausted *RoundsError from the
 // done markers, naming how many nodes are still running and the first few
 // of their ids, so runaway programs are diagnosable instead of just "too
-// many rounds". Shared by both simulators (package dicongest reuses it).
+// many rounds".
 func RoundsExceededError(limit int, done []bool) error {
 	e := &RoundsError{Limit: limit, N: len(done)}
 	for v, d := range done {

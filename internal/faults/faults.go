@@ -1,9 +1,9 @@
 // Package faults defines deterministic, seeded fault plans for the CONGEST
-// simulators: per-link message drop (probabilistic or an adversarial
+// simulator: per-link message drop (probabilistic or an adversarial
 // per-link budget), bounded FIFO delivery delay, crash-stop nodes and
-// permanent link failures. A Plan is pure data; both simulators opt in
-// through their Options.Faults hook and compile it into an Injector that
-// decides the fate of every accepted message.
+// permanent link failures. A Plan is pure data; a run opts in through
+// congest.Options.Faults, which compiles it into an Injector that decides
+// the fate of every accepted message.
 //
 // Determinism is the design center: every probabilistic decision is a
 // splitmix64 hash of (plan seed, send round, sender, receiver), so it is
@@ -24,7 +24,7 @@ import (
 	"strings"
 )
 
-// MaxDelayLimit bounds Plan.MaxDelay: the simulators size their delayed
+// MaxDelayLimit bounds Plan.MaxDelay: the simulator sizes its delayed
 // delivery rings as slots*(MaxDelay+2), so the cap keeps a misconfigured
 // plan from allocating unboundedly.
 const MaxDelayLimit = 1 << 10

@@ -236,6 +236,18 @@ func (c *CSR) Offset(v int) int { return int(c.offsets[v]) }
 // Slots returns the total number of directed-edge slots (2m).
 func (c *CSR) Slots() int { return len(c.nbr) }
 
+// Flat returns the packed window storage of a dense snapshot (Freeze):
+// offsets of length n+1 and the neighbor ids, v's window being
+// nbr[offsets[v]:offsets[v+1]]. A patchable snapshot, whose windows carry
+// slack, returns nil slices. Both slices are the snapshot's internal
+// storage and must not be modified.
+func (c *CSR) Flat() (offsets, nbr []int32) {
+	if c.ends != nil {
+		return nil, nil
+	}
+	return c.offsets, c.nbr
+}
+
 // HasEdge reports whether {u, v} exists, by binary search: O(log deg(u)).
 func (c *CSR) HasEdge(u, v int) bool {
 	if u < 0 || u >= c.N() || v < 0 || v >= c.N() {

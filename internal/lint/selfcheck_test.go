@@ -31,9 +31,9 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 }
 
 // TestHotpathDirectiveSync pins //hardness:hotpath to the functions the
-// allocs-guard benchmarks watch (BenchmarkCongestRunCore,
-// BenchmarkDicongestRunCore, the sweep engine's worker loop, the
-// oracle recursions, the delta toggles). If one of these is renamed or
+// allocs-guard benchmarks watch (congest.Run, behind both
+// BenchmarkCongestRunCore and BenchmarkDicongestRunCore; the sweep
+// engine's worker loop; the oracle recursions; the delta toggles). If one of these is renamed or
 // loses its directive, hotalloc silently stops guarding the loop the
 // benchmark measures — this test makes that drift loud. A target with a
 // recv matches only methods on that receiver type, for files where the
@@ -45,7 +45,6 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		fn   string
 	}{
 		{"internal/congest/congest.go", "", "Run"},
-		{"internal/dicongest/dicongest.go", "", "Run"},
 		{"internal/lbfamily/sweep.go", "", "worker"},
 		{"internal/solver/independent.go", "", "recurse"},
 		{"internal/solver/mds.go", "", "recurse"},

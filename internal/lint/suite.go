@@ -12,7 +12,8 @@ type SuiteEntry struct {
 }
 
 // determinismPackages are the packages whose execution must be
-// replay-exact: the two simulator cores, the reduction engine, the
+// replay-exact: the simulator core (and its dicongest forwarding
+// shim), the reduction engine, the
 // distributed algorithms, the family verifiers, the lower-bound
 // constructions that build family instances, and the fault injector.
 var determinismPackages = []string{

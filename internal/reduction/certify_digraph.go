@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 
-	"congesthard/internal/comm"
-	"congesthard/internal/dicongest"
+	"congesthard/internal/congest"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
 )
 
 // DigraphAlgorithm is a CONGEST algorithm for directed instances, paired
-// with a family predicate — the dicongest twin of Algorithm.
+// with a family predicate: Algorithm with a digraph-taking Prepare.
 type DigraphAlgorithm struct {
 	// Name identifies the algorithm in reports, e.g. "collect".
 	Name string
@@ -21,7 +20,7 @@ type DigraphAlgorithm struct {
 	// Prepare is called once per (x, y) pair with the instance digraph,
 	// the run's bandwidth and the pair's seed. The returned factory must
 	// be deterministic given (d, seed) — transcript replay re-executes it.
-	Prepare func(d *graph.Digraph, bandwidth int, seed int64) (dicongest.Factory, func(*dicongest.Result) (bool, error), error)
+	Prepare func(d *graph.Digraph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error)
 }
 
 // CertifyDigraph is Certify for directed families: it runs alg over
@@ -32,7 +31,7 @@ type DigraphAlgorithm struct {
 // shares Certify's body and sweep engine: families implementing
 // lbfamily.DeltaDigraphFamily give each worker a private instance walked
 // by ApplyBit arc toggles, with the patchable out-adjacency snapshot
-// spliced in place between runs and a reused dicongest arena.
+// spliced in place between runs and a reused congest arena.
 func CertifyDigraph(fam lbfamily.DigraphFamily, alg DigraphAlgorithm, cfg Config) (*Report, error) {
 	return CertifyDigraphCtx(context.Background(), fam, alg, cfg)
 }
@@ -44,37 +43,11 @@ func CertifyDigraphCtx(ctx context.Context, fam lbfamily.DigraphFamily, alg Digr
 	if alg.Prepare == nil {
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
-	return certify(ctx, lbfamily.Directed(fam), alg.Name, alg.Exact, cfg, alg.simulator)
+	return certify(ctx, lbfamily.Directed(fam), alg.Name, alg.Exact, cfg, alg.Prepare)
 }
 
-// simulator is Algorithm.simulator on dicongest.
-func (alg DigraphAlgorithm) simulator(r runSpec, arena bool) pairSim[*graph.Digraph] {
-	var a *dicongest.Arena
-	if arena {
-		a = &dicongest.Arena{}
-	}
-	return func(idx int, d *graph.Digraph, x, y comm.Bits) (PairReport, error) {
-		factory, decide, err := alg.Prepare(d, r.bandwidth, pairSeed(r.cfg.Seed, idx))
-		if err != nil {
-			return PairReport{}, fmt.Errorf("prepare (%s,%s): %w", x, y, err)
-		}
-		opts := dicongest.Options{BandwidthBits: r.bandwidth, MaxRounds: r.cfg.MaxRounds, CutSide: r.side, Faults: r.cfg.Faults, Arena: a}
-		if r.cfg.Trace != nil {
-			opts.Trace = r.cfg.Trace(idx, x, y)
-		}
-		var res *dicongest.Result
-		if idx < r.cfg.TranscriptChecks {
-			_, res, err = VerifyDigraphSimulation(d, r.side, factory, opts)
-		} else {
-			res, err = dicongest.Run(d, factory, opts)
-		}
-		if err != nil {
-			return PairReport{}, fmt.Errorf("run (%s,%s): %w", x, y, err)
-		}
-		output, err := decide(res)
-		if err != nil {
-			return PairReport{}, fmt.Errorf("decide (%s,%s): %w", x, y, err)
-		}
-		return PairReport{Rounds: res.Rounds, Messages: res.Messages, CutMessages: res.CutMessages, CutBits: res.CutBits, Output: output}, nil
-	}
+// VerifyDigraphSimulation is VerifySimulation on a digraph. It remains for
+// the benchmark harness, which names it.
+func VerifyDigraphSimulation(d *graph.Digraph, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
+	return VerifySimulation(d, side, factory, opts)
 }

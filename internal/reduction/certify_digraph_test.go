@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"congesthard/internal/congest"
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/kmdslb"
 	"congesthard/internal/cover"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 )
 
@@ -180,15 +180,15 @@ func TestVerifyDigraphSimulationEmptyCut(t *testing.T) {
 	d.MustAddArc(0, 1)
 	d.MustAddArc(1, 2)
 	d.MustAddArc(2, 3)
-	factory := func(local dicongest.Local) dicongest.Node {
-		return &dicongest.FuncNode{
-			RoundFunc: func(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
+	factory := func(local congest.Local) congest.Node {
+		return &congest.FuncNode{
+			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 				if round > 1 {
 					return nil, true
 				}
-				out := make([]dicongest.Message, 0, len(local.Neighbors))
+				out := make([]congest.Message, 0, len(local.Neighbors))
 				for _, nbr := range local.Neighbors {
-					out = append(out, dicongest.Message{To: nbr, Payload: int64(local.ID)})
+					out = append(out, congest.Message{To: nbr, Payload: int64(local.ID)})
 				}
 				return out, round == 1
 			},
@@ -200,7 +200,7 @@ func TestVerifyDigraphSimulationEmptyCut(t *testing.T) {
 		for v := range side {
 			side[v] = alice
 		}
-		transcript, res, err := VerifyDigraphSimulation(d, side, factory, dicongest.Options{})
+		transcript, res, err := VerifySimulation(d, side, factory, congest.Options{})
 		if err != nil {
 			t.Fatalf("alice=%v: %v", alice, err)
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // pairTracer records, per canonical pair index, how many rounds the
-// simulators reported — the contract Config.Trace threads through to
-// congest/dicongest Options.Trace.
+// simulator reported — the contract Config.Trace threads through to
+// congest Options.Trace.
 type pairTracer struct {
 	rounds int
 }

@@ -2,9 +2,9 @@ package reduction
 
 import (
 	"congesthard/internal/algorithms"
+	"congesthard/internal/congest"
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/kmdslb"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/graph"
 	"congesthard/internal/solver"
 )
@@ -22,12 +22,12 @@ func diCollectAlgorithm(name string, exact bool, eval func(component *graph.Digr
 	return DigraphAlgorithm{
 		Name:  name,
 		Exact: exact,
-		Prepare: func(d *graph.Digraph, bandwidth int, seed int64) (dicongest.Factory, func(*dicongest.Result) (bool, error), error) {
+		Prepare: func(d *graph.Digraph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
 			factory, _, err := algorithms.DiCollectFactory(d, bandwidth, algorithms.DiCollectSpec{Eval: eval})
 			if err != nil {
 				return nil, nil, err
 			}
-			return factory, func(res *dicongest.Result) (bool, error) {
+			return factory, func(res *congest.Result) (bool, error) {
 				total, err := algorithms.DiCollectTotal(res)
 				if err != nil {
 					return false, err

@@ -91,7 +91,7 @@ type Config struct {
 	Progress func(completed, total int)
 	// Trace, if non-nil, is consulted before each pair's CONGEST run
 	// with the pair's canonical index and inputs; the returned tracer
-	// (the congest.Tracer interface both simulators share) observes
+	// (a congest.Tracer, for graph and digraph runs alike) observes
 	// that run's rounds, and returning nil skips tracing the pair.
 	// Purely observational: reports are bit-identical with or without
 	// it. Under the sharded sweep, tracers of different pairs run
@@ -209,7 +209,7 @@ func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Con
 	if alg.Prepare == nil {
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
-	return certify(ctx, lbfamily.Undirected(fam), alg.Name, alg.Exact, cfg, alg.simulator)
+	return certify(ctx, lbfamily.Undirected(fam), alg.Name, alg.Exact, cfg, alg.Prepare)
 }
 
 // pairSim runs an algorithm on one pair's instance g and returns the
@@ -223,15 +223,19 @@ type runSpec struct {
 	side      []bool
 }
 
-// simulator returns one worker's pairSim; arena selects a private,
-// reused congest arena.
-func (alg Algorithm) simulator(r runSpec, arena bool) pairSim[*graph.Graph] {
+// prepareFunc is the Prepare hook of Algorithm (G = *graph.Graph) and
+// DigraphAlgorithm (G = *graph.Digraph).
+type prepareFunc[G lbfamily.Instance] func(g G, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error)
+
+// simulator returns one worker's pairSim over prepare; arena selects a
+// private, reused congest arena.
+func simulator[G lbfamily.Instance](prepare prepareFunc[G], r runSpec, arena bool) pairSim[G] {
 	var a *congest.Arena
 	if arena {
 		a = &congest.Arena{}
 	}
-	return func(idx int, g *graph.Graph, x, y comm.Bits) (PairReport, error) {
-		factory, decide, err := alg.Prepare(g, r.bandwidth, pairSeed(r.cfg.Seed, idx))
+	return func(idx int, g G, x, y comm.Bits) (PairReport, error) {
+		factory, decide, err := prepare(g, r.bandwidth, pairSeed(r.cfg.Seed, idx))
 		if err != nil {
 			return PairReport{}, fmt.Errorf("prepare (%s,%s): %w", x, y, err)
 		}
@@ -263,7 +267,7 @@ func (alg Algorithm) simulator(r runSpec, arena bool) pairSim[*graph.Graph] {
 // lays out the pairs, runs them on the sweep engine — sharded, or the
 // cfg.Serial reference walk — with one simulator per worker, and
 // resolves the outcome into the report/error contract.
-func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], alg string, exact bool, cfg Config, simulator func(runSpec, bool) pairSim[G]) (*Report, error) {
+func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], alg string, exact bool, cfg Config, prepare prepareFunc[G]) (*Report, error) {
 	side, err := fam.Side()
 	if err != nil {
 		return nil, fmt.Errorf("alice side: %w", err)
@@ -313,7 +317,7 @@ func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], 
 			return idx, xs[idx], ys[idx]
 		},
 		Worker: func(G) lbfamily.Step[G] {
-			sim := simulator(runSpec{cfg: cfg, bandwidth: bandwidth, side: side}, !cfg.Serial)
+			sim := simulator(prepare, runSpec{cfg: cfg, bandwidth: bandwidth, side: side}, !cfg.Serial)
 			return func(idx int, g G, x, y comm.Bits) error {
 				var started time.Time
 				if cfg.Metrics != nil {

@@ -9,7 +9,6 @@ import (
 
 	"congesthard/internal/algorithms"
 	"congesthard/internal/congest"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
@@ -220,7 +219,7 @@ func TestCertifyDigraphCtxCancelReturnsPartialReport(t *testing.T) {
 	alg := CollectHamPath(fam)
 	inner := alg.Prepare
 	calls := 0
-	alg.Prepare = func(d *graph.Digraph, bandwidth int, seed int64) (dicongest.Factory, func(*dicongest.Result) (bool, error), error) {
+	alg.Prepare = func(d *graph.Digraph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
 		calls++
 		if calls == 4 {
 			cancel()

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"congesthard/internal/congest"
-	"congesthard/internal/dicongest"
 	"congesthard/internal/faults"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
@@ -370,19 +369,19 @@ func TestDicongestArenaReuseBitIdentical(t *testing.T) {
 	d.MustAddArc(3, 2)
 	d.MustAddArc(3, 4)
 	d.MustAddArc(4, 0)
-	factory := func(local dicongest.Local) dicongest.Node {
+	factory := func(local congest.Local) congest.Node {
 		sum := int64(local.ID)
-		return &dicongest.FuncNode{
-			RoundFunc: func(round int, inbox []dicongest.Incoming) ([]dicongest.Message, bool) {
+		return &congest.FuncNode{
+			RoundFunc: func(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 				for _, m := range inbox {
 					sum += m.Payload
 				}
 				if round >= 2 {
 					return nil, true
 				}
-				out := make([]dicongest.Message, 0, len(local.Neighbors))
+				out := make([]congest.Message, 0, len(local.Neighbors))
 				for _, nb := range local.Neighbors {
-					out = append(out, dicongest.Message{To: nb, Payload: int64(nb)})
+					out = append(out, congest.Message{To: nb, Payload: int64(nb)})
 				}
 				return out, false
 			},
@@ -390,13 +389,13 @@ func TestDicongestArenaReuseBitIdentical(t *testing.T) {
 		}
 	}
 	cut := []bool{true, true, false, false, true}
-	fresh, err := dicongest.Run(d, factory, dicongest.Options{CutSide: cut})
+	fresh, err := congest.Run(d, factory, congest.Options{CutSide: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := &dicongest.Arena{}
+	arena := &congest.Arena{}
 	for i := 0; i < 3; i++ {
-		res, err := dicongest.Run(d, factory, dicongest.Options{CutSide: cut, Arena: arena})
+		res, err := congest.Run(d, factory, congest.Options{CutSide: cut, Arena: arena})
 		if err != nil {
 			t.Fatalf("arena run %d: %v", i, err)
 		}

@@ -12,8 +12,8 @@
 //     by replay stubs) must reproduce her outputs and outgoing messages
 //     exactly, because her view is a deterministic function of her side of
 //     the graph plus the transcript;
-//   - Certify: run an algorithm over sampled or exhaustive (x, y) pairs of
-//     a lower-bound family, reporting per-pair rounds, cut traffic and
+//   - Certify (CertifyDigraph for directed families): run an algorithm
+//     over sampled or exhaustive (x, y) pairs of a lower-bound family, reporting per-pair rounds, cut traffic and
 //     output correctness, and the aggregate rounds·B·|E_cut| budget against
 //     the communication complexity of f.
 package reduction
@@ -78,9 +78,9 @@ func (t *TwoPartyTranscript) filter(dir congest.Direction) []Entry {
 	return out
 }
 
-// ExtractTranscript runs factory on g with the cut metered and returns the
-// two-party transcript alongside the run result.
-func ExtractTranscript(g *graph.Graph, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
+// ExtractTranscript runs factory on g, a graph or a digraph, with the cut
+// metered and returns the two-party transcript alongside the run result.
+func ExtractTranscript[G *graph.Graph | *graph.Digraph](g G, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
 	transcript := &TwoPartyTranscript{}
 	opts.CutSide = side
 	opts.Meter = transcript
@@ -124,11 +124,12 @@ func (s *replayStub) Output() interface{} { return nil }
 // module satisfies (randomized programs derive their stream from a seed
 // and the vertex id).
 //
+// g may be a graph or a digraph: on a digraph Alice's side is her side
+// of the arcs, and the transcript is the traffic over the arc cut. The
+// full run rejects a side that does not mark every vertex.
+//
 // It returns the transcript and the full run's result on success.
-func VerifySimulation(g *graph.Graph, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
-	if len(side) != g.N() {
-		return nil, nil, fmt.Errorf("bipartition has %d entries for %d vertices", len(side), g.N())
-	}
+func VerifySimulation[G *graph.Graph | *graph.Digraph](g G, side []bool, factory congest.Factory, opts congest.Options) (*TwoPartyTranscript, *congest.Result, error) {
 	full, res, err := ExtractTranscript(g, side, factory, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("full run: %w", err)

@@ -59,7 +59,7 @@ type Pairing struct {
 	// collection search for the Section 4 families); it is part of the
 	// cache key because different seeds build different instances.
 	BuildSeed int64
-	// Directed marks dicongest pairings.
+	// Directed marks pairings whose instances are digraphs.
 	Directed bool
 	// Exact mirrors the algorithm's exactness declaration.
 	Exact bool
