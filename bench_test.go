@@ -104,7 +104,7 @@ func BenchmarkE2HamPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stats, err := lbfamily.MeasureDigraphStats(fam)
+	stats, err := lbfamily.MeasureStats(fam)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -634,7 +634,7 @@ func BenchmarkVerifyExhaustive(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return func() error { return lbfamily.VerifyDigraph(fam) }
+			return func() error { return lbfamily.Verify(fam) }
 		}},
 		{"kmdslb", func(b *testing.B) func() error {
 			fam, err := kmdslb.NewTwoMDS(kmdsParams(b))
@@ -648,7 +648,7 @@ func BenchmarkVerifyExhaustive(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return func() error { return lbfamily.VerifyDigraph(fam) }
+			return func() error { return lbfamily.Verify(fam) }
 		}},
 		{"boundedlb", func(b *testing.B) func() error {
 			fam, err := boundedlb.NewFamily(2, 3)
@@ -739,7 +739,7 @@ func BenchmarkCertifyThroughput(b *testing.B) {
 		b.ResetTimer()
 		var pairs int64
 		for i := 0; i < b.N; i++ {
-			rep, err := reduction.CertifyDigraph(fam, alg, reduction.Config{Seed: 1})
+			rep, err := reduction.Certify(fam, alg, reduction.Config{Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

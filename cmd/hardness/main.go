@@ -367,7 +367,7 @@ func e2HamPath() error {
 		return err
 	}
 	fmt.Print("Definition 1.1 exhaustive verification (k=2)... ")
-	if err := lbfamily.VerifyDigraph(fam); err != nil {
+	if err := lbfamily.Verify(fam); err != nil {
 		return err
 	}
 	fmt.Println("OK")
@@ -376,7 +376,7 @@ func e2HamPath() error {
 		if err != nil {
 			return lbfamily.Stats{}, nil, err
 		}
-		stats, err := lbfamily.MeasureDigraphStats(f)
+		stats, err := lbfamily.MeasureStats(f)
 		return stats, f.Func(), err
 	}, []int{2, 4, 8, 16})
 }
@@ -404,7 +404,7 @@ func e3HamCycle() error {
 		}
 		checked++
 	}
-	stats, err := lbfamily.MeasureDigraphStats(c)
+	stats, err := lbfamily.MeasureStats(c)
 	if err != nil {
 		return err
 	}
@@ -709,7 +709,7 @@ func e15DirSteiner() error {
 		return err
 	}
 	fmt.Print("Definition 1.1 exhaustive verification (T=4, directed)... ")
-	if err := lbfamily.VerifyDigraph(fam); err != nil {
+	if err := lbfamily.Verify(fam); err != nil {
 		return err
 	}
 	fmt.Println("OK")

@@ -28,7 +28,7 @@ func main() {
 	// 1. Certify the exact algorithm over all 2^(2K) = 256 pairs: every
 	// run is a real directed CONGEST simulation (full-duplex links over
 	// the arcs) with the Alice-Bob arc cut metered.
-	rep, err := reduction.CertifyDigraph(fam, reduction.CollectHamPath(fam),
+	rep, err := reduction.Certify(fam, reduction.CollectHamPath(fam),
 		reduction.Config{Seed: 1, TranscriptChecks: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -39,9 +39,9 @@ func main() {
 		rep.MaxRounds, rep.SimBits, rep.Stats.K, rep.CCBound)
 
 	// 2. The greedy walk (always step to the smallest-id unvisited
-	// out-neighbor) does NOT decide Hamiltonicity: CertifyDigraph counts
+	// out-neighbor) does NOT decide Hamiltonicity: Certify counts
 	// the pairs where it misdecides — one-sided "no"s on yes-instances.
-	greedy, err := reduction.CertifyDigraph(fam, reduction.GreedyHamPath(fam), reduction.Config{Seed: 1})
+	greedy, err := reduction.Certify(fam, reduction.GreedyHamPath(fam), reduction.Config{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	factory, _, err := algorithms.DiCollectFactory(d, 0, algorithms.DiCollectSpec{
+	factory, _, err := algorithms.CollectFactory(d, 0, algorithms.CollectSpec[*graph.Digraph]{
 		Eval: func(component *graph.Digraph) (int64, error) { return int64(component.M()), nil },
 	})
 	if err != nil {

@@ -10,30 +10,40 @@ import (
 
 // This file implements the collect upper bound as a real simulator
 // program, so its communication is metered message by message (unlike
-// CollectAndSolve, which only computes the round count analytically).
+// CollectAndSolve, which only computes the round count analytically). One
+// program serves both graph kinds; a per-kind record codec supplies what
+// differs.
 //
-// Protocol: every vertex gossips edge records to all neighbors, one
-// fixed-length frame chunk per edge per round. A record is the canonical
-// weighted edge {u, v, w}; its frame is 1 + weightChunks messages: first
-// the id chunk u*n + v (which always fits the CONGEST bandwidth
-// B >= 2*ceil(log2(n+1)) because u*n + v < n^2 <= 2^B), then the weight in
-// B-bit little-endian chunks (zero chunks when every kept weight is
-// exactly 1). Each vertex relays every record it learns to every neighbor
-// exactly once; receivers deduplicate. After the round budget expires the
-// evaluating vertices reconstruct the collected graph and solve locally.
+// Protocol: every vertex gossips records to all neighbors, one
+// fixed-length frame chunk per record per round. On a graph a record is
+// the canonical weighted edge {u, v, w} (u < v); on a digraph it is the
+// oriented weighted arc (from, to, w), gossiped over full-duplex links so
+// records also flow against arc direction. A record's frame is
+// 1 + weightChunks messages: first the id chunk a*n + b (which always fits
+// the CONGEST bandwidth B >= 2*ceil(log2(n+1)) because a*n + b < n^2 <=
+// 2^B), then the weight in B-bit little-endian chunks (zero chunks when
+// every kept weight is exactly 1; zero- and alpha-weighted arcs, as in the
+// directed Steiner family, force a weight chunk). Both endpoints of an
+// edge or arc know it at wakeup; each vertex relays every record it learns
+// to every neighbor exactly once, and receivers deduplicate. After the
+// round budget expires the evaluating vertices reconstruct the collected
+// instance and solve locally.
 //
 // Who evaluates depends on the collection mode. With full collection
-// (Keep == nil) every vertex learns its entire connected component, so at
-// the budget a union-find over its records tells it the component's
-// minimum id without building a graph. That minimum-id vertex is the root:
-// only it reconstructs the graph and evaluates Eval on its component —
-// disconnected instances (e.g. the MDS family's all-zeros graph) are
-// handled by summing the per-component values, which is exact for
-// component-additive quantities like the domination number. With a Keep
-// filter the collected records no longer witness connectivity, so the
-// graph must be connected and vertex 0 is the sole root, evaluating Eval
-// on the full filtered collection. A record the reconstruction rejects is
-// reported by vertex 0, which is a root in either mode.
+// (Keep == nil) every vertex learns its entire (weakly) connected
+// component, so at the budget a union-find over its records tells it the
+// component's minimum id without building a graph. That minimum-id vertex
+// is the root: only it reconstructs the instance and evaluates Eval on its
+// component — disconnected instances (e.g. the MDS family's all-zeros
+// graph) are handled by summing the per-component values, which is exact
+// for component-additive quantities like the domination number. With a
+// Keep filter the collected records no longer witness connectivity, so
+// the instance must be (weakly) connected and vertex 0 is the sole root,
+// evaluating Eval on the full filtered collection. A record the
+// reconstruction rejects is reported by vertex 0, which is a root in
+// either mode. Reconstruction carries edges, arcs and their weights but
+// not remote vertex weights, so Eval must not depend on non-default
+// vertex weights.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the classic pipelined-flooding bound frame*(T + D): a record
@@ -42,57 +52,155 @@ import (
 // quiescence — the budget is computed by the harness from (n, m), the
 // same simulation shortcut CollectAndSolve documents.
 
-// CollectSpec configures one run of the gossip collect program.
-type CollectSpec struct {
-	// Keep filters which edges are collected (nil keeps every edge). The
-	// filter must be symmetric in its endpoints and deterministic — both
-	// endpoints evaluate it independently (shared randomness). A non-nil
-	// Keep requires a connected graph (see above).
-	Keep func(u, v int, w int64) bool
-	// Eval runs at each root on its collected graph: the root's connected
-	// component (reindexed, full collection) or the whole filtered
-	// collection (Keep != nil). The per-root values are combined by
-	// CollectTotal.
-	Eval func(collected *graph.Graph) (int64, error)
+// Kind is a graph kind the collect programs run on.
+type Kind interface {
+	*graph.Graph | *graph.Digraph
+	N() int
+}
+
+// CollectSpec configures one run of the gossip collect program on
+// instances of kind G.
+type CollectSpec[G Kind] struct {
+	// Keep filters which records are collected (nil keeps every one):
+	// edges {a, b} with a < b on a graph, arcs a -> b on a digraph. The
+	// filter must be deterministic — both endpoints evaluate it
+	// independently (shared randomness). A non-nil Keep requires a
+	// (weakly) connected instance (see above).
+	Keep func(a, b int, w int64) bool
+	// Eval runs at each root on its collected instance: the root's
+	// (weakly) connected component, reindexed ascending so a spanning
+	// component keeps original ids (full collection), or the whole
+	// filtered collection (Keep != nil). The per-root values are combined
+	// by CollectTotal.
+	Eval func(collected G) (int64, error)
 }
 
 // CollectFactory builds the gossip program for g and returns the node
 // factory together with the round budget baked into it. bandwidth must be
 // the BandwidthBits the simulation will run with (0 selects the default),
 // because the frame layout depends on it.
-func CollectFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
+func CollectFactory[G Kind](g G, bandwidth int, spec CollectSpec[G]) (congest.Factory, int, error) {
+	codec := codecOf[G]()
 	n := g.N()
 	if n == 0 {
-		return nil, 0, fmt.Errorf("collect requires a non-empty graph")
+		return nil, 0, fmt.Errorf("collect requires a non-empty %s", codec.noun)
 	}
-	if spec.Keep != nil && !g.IsConnected() {
-		return nil, 0, fmt.Errorf("filtered collect requires a connected graph")
+	if spec.Keep != nil && !codec.connected(g) {
+		return nil, 0, fmt.Errorf("filtered collect requires a %s", codec.connectedNoun)
 	}
 	if bandwidth == 0 {
 		bandwidth = congest.DefaultBandwidth(n)
 	}
 	maxPayload := int64(1)<<uint(bandwidth) - 1
 	if int64(n)*int64(n)-1 > maxPayload {
-		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph", bandwidth, n)
+		return nil, 0, fmt.Errorf("bandwidth %d cannot carry %s ids of an n=%d %s", bandwidth, codec.elem, n, codec.noun)
 	}
-	records, wchunks, err := frameLayout(g.Edges(), edgeRecord, spec.Keep, bandwidth, "edge {%d,%d}")
+	records, wchunks, err := codec.layout(g, spec.Keep, bandwidth)
 	if err != nil {
 		return nil, 0, err
 	}
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
 	factory := func(local congest.Local) congest.Node {
-		return newCollectNode(local, n, bandwidth, budget, wchunks, records, spec)
+		c := &collectNode[G]{spec: spec}
+		c.init(local, n, bandwidth, budget, wchunks, records)
+		return c
 	}
 	return factory, budget, nil
+}
+
+// recordCodec is what the collect program needs of its graph kind G: the
+// words of its error messages, the connectivity a filtered collection
+// requires, the kept records' frame layout, the records a vertex knows at
+// wakeup, and the reconstruction an elected root evaluates.
+type recordCodec[G Kind] struct {
+	noun, connectedNoun, elem string
+	connected                 func(g G) bool
+	// layout scans g's kept records at chunkBits-wide weight chunks.
+	layout func(g G, keep func(a, b int, w int64) bool, chunkBits int) (records, wchunks int, err error)
+	// seed learns the kept records incident to the waking vertex.
+	seed func(s *recordStore, local congest.Local, keep func(a, b int, w int64) bool)
+	// settle reconstructs the collected instance at a root and evaluates
+	// eval on it.
+	settle func(s *recordStore, eval func(G) (int64, error))
+}
+
+// edgeCodec collects canonical u < v edges.
+var edgeCodec = recordCodec[*graph.Graph]{
+	noun: "graph", connectedNoun: "connected graph", elem: "edge",
+	connected: (*graph.Graph).IsConnected,
+	layout: func(g *graph.Graph, keep func(a, b int, w int64) bool, chunkBits int) (int, int, error) {
+		return frameLayout(g.Edges(), edgeRecord, keep, chunkBits, "edge {%d,%d}")
+	},
+	seed: func(s *recordStore, local congest.Local, keep func(a, b int, w int64) bool) {
+		for i, nbr := range local.Neighbors {
+			u, v, w := local.ID, nbr, local.EdgeWeights[i]
+			if u > v {
+				u, v = v, u
+			}
+			if keep == nil || keep(u, v, w) {
+				s.learn(u, v, w)
+			}
+		}
+	},
+	settle: func(s *recordStore, eval func(*graph.Graph) (int64, error)) {
+		collected := graph.New(s.n)
+		if !s.rebuild("graph", collected.AddWeightedEdge) {
+			return
+		}
+		if s.full {
+			collected, _ = collected.InducedSubgraph(s.member)
+		}
+		s.out.value, s.out.err = eval(collected)
+	},
+}
+
+// arcCodec collects oriented arcs, out-arcs then in-arcs at wakeup.
+var arcCodec = recordCodec[*graph.Digraph]{
+	noun: "digraph", connectedNoun: "weakly connected digraph", elem: "arc",
+	connected: func(d *graph.Digraph) bool { return d.Underlying().IsConnected() },
+	layout: func(d *graph.Digraph, keep func(a, b int, w int64) bool, chunkBits int) (int, int, error) {
+		return frameLayout(d.Arcs(), arcRecord, keep, chunkBits, "arc (%d,%d)")
+	},
+	seed: func(s *recordStore, local congest.Local, keep func(a, b int, w int64) bool) {
+		for i, to := range local.OutNeighbors {
+			if w := local.OutWeights[i]; keep == nil || keep(local.ID, to, w) {
+				s.learn(local.ID, to, w)
+			}
+		}
+		for i, from := range local.InNeighbors {
+			if w := local.InWeights[i]; keep == nil || keep(from, local.ID, w) {
+				s.learn(from, local.ID, w)
+			}
+		}
+	},
+	settle: func(s *recordStore, eval func(*graph.Digraph) (int64, error)) {
+		collected := graph.NewDigraph(s.n)
+		if !s.rebuild("digraph", collected.AddWeightedArc) {
+			return
+		}
+		if s.full {
+			collected, _ = collected.InducedSubdigraph(s.member)
+		}
+		s.out.value, s.out.err = eval(collected)
+	},
+}
+
+// codecOf returns the record codec of kind G.
+func codecOf[G Kind]() *recordCodec[G] {
+	var c any = &edgeCodec
+	if _, ok := any(*new(G)).(*graph.Digraph); ok {
+		c = &arcCodec
+	}
+	return c.(*recordCodec[G])
 }
 
 // frameLayout scans the kept records of an instance's edges (or arcs)
 // and derives the frame shape: the record count T, and the number of
 // chunkBits-wide weight chunks (zero when every kept weight is exactly 1).
 // ends maps an item to its record; where formats its endpoints for the
-// negative-weight error. Shared by all three collect factories; the retry
-// variant's chunks are bandwidth minus its header.
+// negative-weight error. The retry variant's chunks are bandwidth minus
+// its header.
 func frameLayout[E any](items []E, ends func(E) (int, int, int64), keep func(a, b int, w int64) bool, chunkBits int, where string) (records, wchunks int, err error) {
 	var maxW int64
 	weighted := false
@@ -123,48 +231,53 @@ func frameLayout[E any](items []E, ends func(E) (int, int, int64), keep func(a, 
 
 func edgeRecord(e graph.Edge) (int, int, int64) { return e.U, e.V, e.Weight }
 
-// CollectTotal sums the root values of a finished run: the single root's
-// value under filtered collection, the per-component values under full
-// collection (exact for component-additive quantities).
+func arcRecord(a graph.Arc) (int, int, int64) { return a.From, a.To, a.Weight }
+
+// CollectTotal sums the root values of a finished collect or collect-retry
+// run, on either graph kind: the single root's value under filtered
+// collection, the per-component values under full collection (exact for
+// component-additive quantities).
 func CollectTotal(res *congest.Result) (int64, error) {
-	return sumRoots(res.Outputs, "collect")
+	var total int64
+	roots := 0
+	for v, out := range res.Outputs {
+		c, ok := out.(collectOutput)
+		if !ok {
+			return 0, fmt.Errorf("vertex %d did not run the collect program", v)
+		}
+		if !c.root {
+			continue
+		}
+		if c.err != nil {
+			return 0, fmt.Errorf("root %d: %w", v, c.err)
+		}
+		roots++
+		total += c.value
+	}
+	if roots == 0 {
+		return 0, fmt.Errorf("no root produced a value")
+	}
+	return total, nil
 }
 
-// collectCore is the undirected half of the record store, shared by the
-// gossip collect program and its retransmitting variant: the incident
-// kept edges seeded at wakeup and the end-of-budget reconstruct-and-solve.
-type collectCore struct {
+// collectNode is the collect program over the shared record store; the
+// retransmitting variant embeds its graph instantiation. The codec is
+// looked up from G rather than stored: a pointer field would move the node
+// up an allocation size class, 16 bytes per vertex.
+type collectNode[G Kind] struct {
 	recordStore
-	spec CollectSpec
+	spec CollectSpec[G]
 }
 
-type collectNode struct{ collectCore }
-
-func newCollectNode(local congest.Local, n, bw, budget, wchunks, records int, spec CollectSpec) *collectNode {
-	return &collectNode{newCollectCore(local, n, bw, budget, wchunks, records, spec)}
-}
-
-// newCollectCore seeds the record store with the vertex's incident kept
-// edges (canonical u < v orientation).
-func newCollectCore(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec) collectCore {
-	c := collectCore{
-		recordStore: newRecordStore(local.ID, n, local.Neighbors, spec.Keep == nil, cw, wchunks, budget, records),
-		spec:        spec,
-	}
-	for i, nbr := range local.Neighbors {
-		u, v, w := local.ID, nbr, local.EdgeWeights[i]
-		if u > v {
-			u, v = v, u
-		}
-		if spec.Keep == nil || spec.Keep(u, v, w) {
-			c.learn(u, v, w)
-		}
-	}
-	return c
+// init sizes the record store and seeds it with the vertex's incident
+// kept records.
+func (c *collectNode[G]) init(local congest.Local, n, cw, budget, wchunks, records int) {
+	c.recordStore = newRecordStore(local.ID, n, local.Neighbors, c.spec.Keep == nil, cw, wchunks, budget, records)
+	codecOf[G]().seed(&c.recordStore, local, c.spec.Keep)
 }
 
 // Round gossips; at the budget the roots reconstruct and evaluate.
-func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
+func (c *collectNode[G]) Round(round int, inbox []congest.Incoming) ([]congest.Message, bool) {
 	if c.gossip(round, inbox) {
 		c.finish()
 		return nil, true
@@ -172,18 +285,11 @@ func (c *collectNode) Round(round int, inbox []congest.Incoming) ([]congest.Mess
 	return c.outbox, false
 }
 
-// finish elects the root and, at a root, reconstructs the collected graph
-// and evaluates it: the root's component (reindexed) under full
+// finish elects the root and, at a root, reconstructs the collected
+// instance and evaluates it: the root's component (reindexed) under full
 // collection, the whole filtered collection otherwise.
-func (c *collectCore) finish() {
-	if !c.elect() {
-		return
+func (c *collectNode[G]) finish() {
+	if c.elect() {
+		codecOf[G]().settle(&c.recordStore, c.spec.Eval)
 	}
-	collected := graph.New(c.n)
-	c.settle("graph", collected.AddWeightedEdge, func() (int64, error) {
-		if c.full {
-			collected, _ = collected.InducedSubgraph(c.member)
-		}
-		return c.spec.Eval(collected)
-	})
 }

@@ -6,15 +6,14 @@ import (
 	"congesthard/internal/congest"
 )
 
-// This file holds the record store that the three collect programs
-// (collect, collect-retry and the directed collect) embed: the records a
-// vertex knows, their deduplication, the per-neighbor frame streams that
-// relay them, the plain programs' gossip round, and the end-of-budget
-// root election.
+// This file holds the record store that the collect program (on either
+// graph kind) and collect-retry embed: the records a vertex knows, their
+// deduplication, the per-neighbor frame streams that relay them, the
+// plain program's gossip round, and the end-of-budget root election.
 
 // record is one collected edge or arc (a, b, w), keyed a*n + b: the
-// canonical edge {a, b} (a < b) for the undirected programs, the oriented
-// arc a -> b for the directed one.
+// canonical edge {a, b} (a < b) on a graph, the oriented arc a -> b on a
+// digraph.
 type record struct {
 	a, b int
 	w    int64
@@ -136,7 +135,7 @@ func (s *recordStore) advance(i int) {
 	}
 }
 
-// gossip is one round of the plain collect programs: it ingests the
+// gossip is one round of the plain collect program: it ingests the
 // per-neighbor frame streams and, before the budget, queues the next
 // chunk of each neighbor's stream in outbox. At the budget it sends
 // nothing and reports atBudget; the caller then finishes.
@@ -201,46 +200,23 @@ func (s *recordStore) find(v int) int {
 // member reports whether v is in an elected root's component.
 func (s *recordStore) member(v int) bool { return s.find(v) == s.id }
 
-// settle runs at an elected root: it reconstructs the records through add
-// and, if every record is accepted, evaluates. A rejected record makes
-// vertex 0, the one root in both collection modes, output the error; any
-// other root produces no output.
-func (s *recordStore) settle(what string, add func(a, b int, w int64) error, eval func() (int64, error)) {
+// rebuild runs at an elected root: it replays the records through add
+// and reports whether every record was accepted, in which case the root
+// is marked and the caller evaluates. A rejected record makes vertex 0,
+// the one root in both collection modes, output the error; any other root
+// produces no output.
+func (s *recordStore) rebuild(what string, add func(a, b int, w int64) error) bool {
 	for _, r := range s.records {
 		if err := add(r.a, r.b, r.w); err != nil {
 			if s.id == 0 {
 				s.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected %s: %w", what, err)}
 			}
-			return
+			return false
 		}
 	}
 	s.out.root = true
-	s.out.value, s.out.err = eval()
+	return true
 }
 
 // Output returns the root's collectOutput (zero value elsewhere).
 func (s *recordStore) Output() interface{} { return s.out }
-
-// sumRoots sums the root values of a finished run's outputs.
-func sumRoots(outputs []interface{}, program string) (int64, error) {
-	var total int64
-	roots := 0
-	for v, out := range outputs {
-		c, ok := out.(collectOutput)
-		if !ok {
-			return 0, fmt.Errorf("vertex %d did not run the %s program", v, program)
-		}
-		if !c.root {
-			continue
-		}
-		if c.err != nil {
-			return 0, fmt.Errorf("root %d: %w", v, c.err)
-		}
-		roots++
-		total += c.value
-	}
-	if roots == 0 {
-		return 0, fmt.Errorf("no root produced a value")
-	}
-	return total, nil
-}

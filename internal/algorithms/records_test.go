@@ -7,6 +7,7 @@ import (
 
 	"congesthard/internal/comm"
 	"congesthard/internal/congest"
+	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/graph"
 	"congesthard/internal/solver"
@@ -62,18 +63,18 @@ func checkElection(t *testing.T, name string, stores []*recordStore, outputs []i
 	}
 }
 
-func runCapturingCollect(t *testing.T, g *graph.Graph) ([]*recordStore, *congest.Result) {
+func runCapturingCollect[G Kind](t *testing.T, g G) ([]*recordStore, *congest.Result) {
 	t.Helper()
-	factory, _, err := CollectFactory(g, 0, CollectSpec{Eval: func(c *graph.Graph) (int64, error) { return int64(c.N()), nil }})
+	factory, budget, err := CollectFactory(g, 0, CollectSpec[G]{Eval: func(c G) (int64, error) { return int64(c.N()), nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stores := make([]*recordStore, g.N())
 	res, err := congest.Run(g, func(l congest.Local) congest.Node {
-		node := factory(l).(*collectNode)
+		node := factory(l).(*collectNode[G])
 		stores[l.ID] = &node.recordStore
 		return node
-	}, congest.Options{})
+	}, congest.Options{MaxRounds: budget + 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +111,31 @@ func TestUnionFindElectsComponentsRoots(t *testing.T) {
 
 	for i := 0; i < 12; i++ {
 		d := graph.RandomDigraph(6+i, 0.03+0.03*float64(i), rng)
-		factory, budget, err := DiCollectFactory(d, 0, DiCollectSpec{Eval: func(c *graph.Digraph) (int64, error) { return int64(c.N()), nil }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores := make([]*recordStore, d.N())
-		res, err := congest.Run(d, func(l congest.Local) congest.Node {
-			node := factory(l).(*diCollectNode)
-			stores[l.ID] = &node.recordStore
-			return node
-		}, congest.Options{MaxRounds: budget + 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total, err := DiCollectTotal(res); err != nil || total != int64(d.N()) {
-			t.Fatalf("digraph %d: weak component sizes sum to %d (err %v), want %d", i, total, err, d.N())
-		}
+		stores, res := runCapturingCollect(t, d)
 		checkElection(t, "digraph-"+string(rune('a'+i)), stores, res.Outputs, true)
 	}
+}
+
+// runInjected runs the collect program on g with inject applied to
+// vertex at's record store after wakeup, and returns CollectTotal's error.
+func runInjected[G Kind](t *testing.T, g G, at int, inject func(s *recordStore)) error {
+	t.Helper()
+	factory, budget, err := CollectFactory(g, 0, CollectSpec[G]{Eval: func(G) (int64, error) { return 1, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := congest.Run(g, func(l congest.Local) congest.Node {
+		node := factory(l).(*collectNode[G])
+		if l.ID == at {
+			inject(&node.recordStore)
+		}
+		return node
+	}, congest.Options{MaxRounds: budget + 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CollectTotal(res)
+	return err
 }
 
 func TestMalformedRecordsReachVertexZero(t *testing.T) {
@@ -140,65 +148,56 @@ func TestMalformedRecordsReachVertexZero(t *testing.T) {
 		// Injected at vertex 0 itself, and at the far end of a path, from
 		// where the relay carries it to vertex 0.
 		for _, at := range []int{0, n - 1} {
-			g := graph.Path(n)
-			factory, _, err := CollectFactory(g, 0, CollectSpec{Eval: func(*graph.Graph) (int64, error) { return 1, nil }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := congest.Run(g, func(l congest.Local) congest.Node {
-				node := factory(l).(*collectNode)
-				if l.ID == at {
-					inject(&node.recordStore)
-				}
-				return node
-			}, congest.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := CollectTotal(res); err == nil || !strings.Contains(err.Error(), "root 0: reconstructing collected graph") {
+			if err := runInjected(t, graph.Path(n), at, inject); err == nil || !strings.Contains(err.Error(), "root 0: reconstructing collected graph") {
 				t.Errorf("%s at vertex %d: CollectTotal err = %v, want vertex 0's reconstruction error", name, at, err)
 			}
-
 			d := graph.NewDigraph(n)
 			for v := 0; v+1 < n; v++ {
 				d.MustAddArc(v+1, v) // arcs against the relay direction
 			}
-			dfactory, budget, err := DiCollectFactory(d, 0, DiCollectSpec{Eval: func(*graph.Digraph) (int64, error) { return 1, nil }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dres, err := congest.Run(d, func(l congest.Local) congest.Node {
-				node := dfactory(l).(*diCollectNode)
-				if l.ID == at {
-					inject(&node.recordStore)
-				}
-				return node
-			}, congest.Options{MaxRounds: budget + 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DiCollectTotal(dres); err == nil || !strings.Contains(err.Error(), "root 0: reconstructing collected digraph") {
-				t.Errorf("%s at vertex %d: DiCollectTotal err = %v, want vertex 0's reconstruction error", name, at, err)
+			if err := runInjected(t, d, at, inject); err == nil || !strings.Contains(err.Error(), "root 0: reconstructing collected digraph") {
+				t.Errorf("%s at vertex %d: CollectTotal err = %v on the digraph, want vertex 0's reconstruction error", name, at, err)
 			}
 		}
 	}
 }
 
-// TestCollectPairAllocs pins the allocations of one certified mds/collect
-// pair (simulation plus decoding): at the budget only component roots
-// build a graph, so non-roots must not pay for one.
+// collectPairAllocs runs one collect pair on g through a reused arena and
+// returns its allocations per run.
+func collectPairAllocs[G Kind](t *testing.T, g G, spec CollectSpec[G]) float64 {
+	t.Helper()
+	factory, _, err := CollectFactory(g, 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := &congest.Arena{}
+	return testing.AllocsPerRun(20, func() {
+		res, err := congest.Run(g, factory, congest.Options{Arena: arena})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CollectTotal(res); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCollectPairAllocs pins the allocations of one certified pair
+// (x=1000, y=0100) of mds/collect and of hamlb/collect (n=42), the
+// program's two graph kinds.
 func TestCollectPairAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin")
 	}
-	fam, err := mdslb.New(2)
+	x, y := comm.NewBits(4), comm.NewBits(4)
+	x.Set(0, true)
+	y.Set(1, true)
+
+	mds, err := mdslb.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := comm.NewBits(fam.K()), comm.NewBits(fam.K())
-	x.Set(0, true)
-	y.Set(1, true)
-	g, err := fam.Build(x, y)
+	g, err := mds.Build(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,24 +209,34 @@ func TestCollectPairAllocs(t *testing.T) {
 			}
 		}
 	}
-	factory, _, err := CollectFactory(g, 0, CollectSpec{Eval: gamma})
+	// ~2x the 368 measured with go1.24 on linux/amd64; building a graph
+	// at every vertex cost 1781.
+	if allocs, bound := collectPairAllocs(t, g, CollectSpec[*graph.Graph]{Eval: gamma}), 750.0; allocs > bound {
+		t.Errorf("one mds/collect pair allocates %.0f times, want <= %.0f", allocs, bound)
+	}
+
+	ham, err := hamlb.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := &congest.Arena{}
-	allocs := testing.AllocsPerRun(20, func() {
-		res, err := congest.Run(g, factory, congest.Options{Arena: arena})
-		if err != nil {
-			t.Fatal(err)
+	d, err := ham.Build(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, start, end := ham.N(), ham.Start(), ham.End()
+	path := func(c *graph.Digraph) (int64, error) {
+		if c.N() != n {
+			return 0, nil
 		}
-		if _, err := CollectTotal(res); err != nil {
-			t.Fatal(err)
+		_, found, err := solver.DirectedHamiltonianPathFrom(c, start, end)
+		if err != nil || !found {
+			return 0, err
 		}
-	})
-	// ~2x the 368 measured with go1.24 on linux/amd64; building a graph
-	// at every vertex cost 1781.
-	const bound = 750
-	if allocs > bound {
-		t.Errorf("one mds/collect pair allocates %.0f times, want <= %d", allocs, bound)
+		return 1, nil
+	}
+	// ~2x the 848 measured with go1.24 on linux/amd64. One more
+	// allocation per vertex would add 42.
+	if allocs, bound := collectPairAllocs(t, d, CollectSpec[*graph.Digraph]{Eval: path}), 1700.0; allocs > bound {
+		t.Errorf("one hamlb/collect pair allocates %.0f times, want <= %.0f", allocs, bound)
 	}
 }

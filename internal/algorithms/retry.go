@@ -27,7 +27,7 @@ import (
 // exactly. The round budget is RetryBudgetFactor times the fault-free
 // collect budget, covering the protocol's inherent round trip per chunk
 // plus retransmissions at bounded drop rates; the record store, root
-// election and evaluation are collectCore's, shared with collect.
+// election and evaluation are the graph collect program's.
 
 const (
 	// retryHeaderBits is the per-frame header: hasData, seq, ack.
@@ -69,7 +69,7 @@ func CollectRetryRoundsCap(n int) int {
 // bandwidth must be the BandwidthBits the simulation will run with
 // (0 selects CollectRetryMinBandwidth); it must leave room for the edge
 // id beside the three header bits.
-func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (congest.Factory, int, error) {
+func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec[*graph.Graph]) (congest.Factory, int, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, 0, fmt.Errorf("collect-retry requires a non-empty graph")
@@ -85,7 +85,7 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec) (conge
 		return nil, 0, fmt.Errorf("bandwidth %d cannot carry edge ids of an n=%d graph beside the %d retry header bits (need >= %d)",
 			bandwidth, n, retryHeaderBits, CollectRetryMinBandwidth(n))
 	}
-	records, wchunks, err := frameLayout(g.Edges(), edgeRecord, spec.Keep, cw, "edge {%d,%d}")
+	records, wchunks, err := edgeCodec.layout(g, spec.Keep, cw)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -105,15 +105,16 @@ type arq struct {
 }
 
 type collectRetryNode struct {
-	collectCore
+	collectNode[*graph.Graph]
 	arq []arq
 }
 
-func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec) *collectRetryNode {
+func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec[*graph.Graph]) *collectRetryNode {
 	c := &collectRetryNode{
-		collectCore: newCollectCore(local, n, cw, budget, wchunks, records, spec),
+		collectNode: collectNode[*graph.Graph]{spec: spec},
 		arq:         make([]arq, len(local.Neighbors)),
 	}
+	c.init(local, n, cw, budget, wchunks, records)
 	for i := range c.arq {
 		// lastAcc starts opposite the first data sequence bit, so the ack
 		// on a frame sent before anything was accepted cannot advance the

@@ -12,7 +12,7 @@ import (
 
 // runCollectRetry runs the retransmitting collect on g under plan (nil
 // for fault-free) and returns the summed root values.
-func runCollectRetry(t *testing.T, g *graph.Graph, spec CollectSpec, plan *faults.Plan) int64 {
+func runCollectRetry(t *testing.T, g *graph.Graph, spec CollectSpec[*graph.Graph], plan *faults.Plan) int64 {
 	t.Helper()
 	bw := CollectRetryMinBandwidth(g.N())
 	factory, budget, err := CollectRetryFactory(g, bw, spec)
@@ -32,8 +32,8 @@ func runCollectRetry(t *testing.T, g *graph.Graph, spec CollectSpec, plan *fault
 
 // reconstructSpec returns a spec whose roots score 1 iff the collected
 // graph equals want.
-func reconstructSpec(want string) CollectSpec {
-	return CollectSpec{
+func reconstructSpec(want string) CollectSpec[*graph.Graph] {
+	return CollectSpec[*graph.Graph]{
 		Eval: func(collected *graph.Graph) (int64, error) {
 			if collected.Signature() == want {
 				return 1, nil
@@ -175,10 +175,10 @@ func TestCollectRetryMinBandwidth(t *testing.T) {
 
 func TestCollectRetryRejectsNarrowBandwidth(t *testing.T) {
 	g := graph.Path(10)
-	if _, _, err := CollectRetryFactory(g, 8, CollectSpec{Eval: func(*graph.Graph) (int64, error) { return 0, nil }}); err == nil {
+	if _, _, err := CollectRetryFactory(g, 8, CollectSpec[*graph.Graph]{Eval: func(*graph.Graph) (int64, error) { return 0, nil }}); err == nil {
 		t.Error("bandwidth 8 accepted for n=10 (ids need 7 bits + 3 header)")
 	}
-	if _, _, err := CollectRetryFactory(graph.New(0), 0, CollectSpec{}); err == nil {
+	if _, _, err := CollectRetryFactory(graph.New(0), 0, CollectSpec[*graph.Graph]{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -192,7 +192,7 @@ func TestCollectRetryReplayDeterministic(t *testing.T) {
 	plan := &faults.Plan{Seed: 7, DropProb: 0.05}
 	bw := CollectRetryMinBandwidth(g.N())
 	run := func() *congest.Result {
-		factory, budget, err := CollectRetryFactory(g, bw, CollectSpec{
+		factory, budget, err := CollectRetryFactory(g, bw, CollectSpec[*graph.Graph]{
 			Eval: func(collected *graph.Graph) (int64, error) { return int64(collected.M()), nil },
 		})
 		if err != nil {

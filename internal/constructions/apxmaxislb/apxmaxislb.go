@@ -56,7 +56,7 @@ type Family struct {
 	cols int // ℓ + t, code length
 }
 
-var _ lbfamily.Family = (*Family)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*Family)(nil)
 
 // New validates parameters and constructs the Reed-Solomon code: length
 // ℓ+t, dimension t, over F_q with q the smallest prime exceeding ℓ+t, with

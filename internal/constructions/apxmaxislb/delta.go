@@ -10,8 +10,8 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaFamily  = (*Family)(nil)
-	_ lbfamily.OracleFamily = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
 )
 
 // BuildBase constructs the all-zeros instance G_{0,0}: the fixed code
@@ -46,7 +46,7 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // Theorem 4.3 predicate (maximum IS weight >= 8ℓ+4t).
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &predicateOracle{target: f.YesWeight()}
 }
 

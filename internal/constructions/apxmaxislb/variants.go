@@ -46,7 +46,7 @@ type UnweightedFamily struct {
 	W *Family
 }
 
-var _ lbfamily.Family = (*UnweightedFamily)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*UnweightedFamily)(nil)
 
 // NewUnweighted returns the batch family for the given parameters.
 func NewUnweighted(p Params) (*UnweightedFamily, error) {
@@ -117,7 +117,7 @@ type LinearFamily struct {
 	cols int
 }
 
-var _ lbfamily.Family = (*LinearFamily)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*LinearFamily)(nil)
 
 // NewLinear returns the linear-variant family.
 func NewLinear(p Params) (*LinearFamily, error) {

@@ -211,11 +211,11 @@ func TestFamilyDefinition11Base(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lbf lbfamily.Family = fam
+	var lbf lbfamily.Family[*graph.Graph] = fam
 	if lbf.Name() != "bounded-maxis" {
 		t.Errorf("name %q", lbf.Name())
 	}
-	if _, ok := lbf.(lbfamily.DeltaFamily); !ok {
+	if _, ok := lbf.(lbfamily.DeltaFamilyOf[*graph.Graph]); !ok {
 		t.Fatal("boundedlb family does not opt into DeltaFamily")
 	}
 	if err := lbfamily.Verify(lbf); err != nil {

@@ -7,9 +7,9 @@ import (
 )
 
 var (
-	_ lbfamily.Family       = (*Family)(nil)
-	_ lbfamily.DeltaFamily  = (*Family)(nil)
-	_ lbfamily.OracleFamily = (*Family)(nil)
+	_ lbfamily.Family[*graph.Graph]        = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
 )
 
 // Family implements lbfamily.Family by delegating to its mvclb base. The
@@ -51,6 +51,6 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 }
 
 // NewPredicateOracle returns the base family's arena-backed evaluator.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return f.Base.NewPredicateOracle()
 }

@@ -9,8 +9,8 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaDigraphFamily  = (*Family)(nil)
-	_ lbfamily.DigraphOracleFamily = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Digraph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Digraph]  = (*Family)(nil)
 )
 
 // BuildBase constructs the all-zeros instance G_{0,0}, which is exactly
@@ -39,10 +39,10 @@ func (f *Family) ApplyBit(d *graph.Digraph, player, bit int, val bool) error {
 	return nil
 }
 
-// NewDigraphPredicateOracle returns a per-worker arena-backed evaluator of
+// NewPredicateOracle returns a per-worker arena-backed evaluator of
 // the Theorem 2.2 predicate (directed Hamiltonian path, necessarily from
 // start to end since start has no in-arcs and end no out-arcs).
-func (f *Family) NewDigraphPredicateOracle() lbfamily.DigraphPredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Digraph] {
 	return &pathOracle{start: f.Start(), end: f.End()}
 }
 

@@ -41,7 +41,7 @@ type Family struct {
 	logK int
 }
 
-var _ lbfamily.DigraphFamily = (*Family)(nil)
+var _ lbfamily.Family[*graph.Digraph] = (*Family)(nil)
 
 // New returns the family for row size k (a power of two, >= 2). Input
 // length is K = k².

@@ -96,7 +96,7 @@ func TestWheelAliasing(t *testing.T) {
 
 func TestCutIsLogarithmic(t *testing.T) {
 	f, _ := New(4)
-	stats, err := lbfamily.MeasureDigraphStats(f)
+	stats, err := lbfamily.MeasureStats(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCutIsLogarithmic(t *testing.T) {
 // intersect, and the Definition 1.1 structural conditions hold.
 func TestTheorem22Exhaustive(t *testing.T) {
 	f, _ := New(2)
-	if err := lbfamily.VerifyDigraph(f); err != nil {
+	if err := lbfamily.Verify(f); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ type CycleFamily struct {
 	Path *Family
 }
 
-var _ lbfamily.DigraphFamily = (*CycleFamily)(nil)
+var _ lbfamily.Family[*graph.Digraph] = (*CycleFamily)(nil)
 
 // NewCycle returns the cycle family for row size k.
 func NewCycle(k int) (*CycleFamily, error) {

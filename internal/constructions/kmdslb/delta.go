@@ -10,13 +10,13 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaFamily         = (*TwoMDSFamily)(nil)
-	_ lbfamily.OracleFamily        = (*TwoMDSFamily)(nil)
-	_ lbfamily.DeltaFamily         = (*KMDSFamily)(nil)
-	_ lbfamily.OracleFamily        = (*KMDSFamily)(nil)
-	_ lbfamily.DeltaFamily         = (*NodeSteinerFamily)(nil)
-	_ lbfamily.DeltaDigraphFamily  = (*DirSteinerFamily)(nil)
-	_ lbfamily.DigraphOracleFamily = (*DirSteinerFamily)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph]   = (*TwoMDSFamily)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]    = (*TwoMDSFamily)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph]   = (*KMDSFamily)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]    = (*KMDSFamily)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph]   = (*NodeSteinerFamily)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Digraph] = (*DirSteinerFamily)(nil)
+	_ lbfamily.OracleFamily[*graph.Digraph]  = (*DirSteinerFamily)(nil)
 )
 
 // The Section 4 constructions are "pure weight gadget" families: the edge
@@ -54,7 +54,7 @@ func (f *TwoMDSFamily) ApplyBit(g *graph.Graph, player, bit int, val bool) error
 
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // Theorem 4.4 predicate (2-dominating set of weight at most 2).
-func (f *TwoMDSFamily) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *TwoMDSFamily) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &powerMDSOracle{dist: 2, budget: 2}
 }
 
@@ -72,7 +72,7 @@ func (f *KMDSFamily) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // Theorem 4.5 predicate (k-dominating set of weight at most 2).
-func (f *KMDSFamily) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *KMDSFamily) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &powerMDSOracle{dist: f.Dist, budget: 2}
 }
 
@@ -127,10 +127,10 @@ func (f *DirSteinerFamily) BuildBase() (*graph.Digraph, error) {
 	return f.Build(zero, zero)
 }
 
-// NewDigraphPredicateOracle returns a per-worker arena-backed evaluator of
+// NewPredicateOracle returns a per-worker arena-backed evaluator of
 // the Theorem 4.7 predicate (directed Steiner tree of weight at most 2
 // rooted at R spanning all terminals).
-func (f *DirSteinerFamily) NewDigraphPredicateOracle() lbfamily.DigraphPredicateOracle {
+func (f *DirSteinerFamily) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Digraph] {
 	return &dirSteinerPredOracle{root: f.Inner.Root(), terminals: f.Terminals()}
 }
 

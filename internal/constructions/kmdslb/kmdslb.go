@@ -46,7 +46,7 @@ type TwoMDSFamily struct {
 	p Params
 }
 
-var _ lbfamily.Family = (*TwoMDSFamily)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*TwoMDSFamily)(nil)
 
 // NewTwoMDS returns the 2-MDS family over the given collection.
 func NewTwoMDS(p Params) (*TwoMDSFamily, error) {
@@ -196,7 +196,7 @@ type KMDSFamily struct {
 	edgeList [][2]int // (set vertex, element vertex) in fixed order
 }
 
-var _ lbfamily.Family = (*KMDSFamily)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*KMDSFamily)(nil)
 
 // NewKMDS returns the k-MDS family (k >= 2; k = 2 is TwoMDSFamily's graph
 // unchanged).

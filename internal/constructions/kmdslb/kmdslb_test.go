@@ -219,7 +219,7 @@ func TestTheorem47DirSteiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lbfamily.VerifyDigraph(f); err != nil {
+	if err := lbfamily.Verify(f); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ type NodeSteinerFamily struct {
 	Inner *TwoMDSFamily
 }
 
-var _ lbfamily.Family = (*NodeSteinerFamily)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*NodeSteinerFamily)(nil)
 
 // NewNodeSteiner returns the node-weighted Steiner family.
 func NewNodeSteiner(p Params) (*NodeSteinerFamily, error) {
@@ -88,7 +88,7 @@ type DirSteinerFamily struct {
 	Inner *TwoMDSFamily
 }
 
-var _ lbfamily.DigraphFamily = (*DirSteinerFamily)(nil)
+var _ lbfamily.Family[*graph.Digraph] = (*DirSteinerFamily)(nil)
 
 // NewDirSteiner returns the directed Steiner family.
 func NewDirSteiner(p Params) (*DirSteinerFamily, error) {

@@ -10,8 +10,8 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaFamily  = (*Family)(nil)
-	_ lbfamily.OracleFamily = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
 )
 
 // BuildBase constructs the all-zeros instance G_{0,0}: every complement
@@ -63,7 +63,7 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // Theorem 2.8 predicate (cut of weight at least M), using the
 // branch-and-bound decision oracle instead of the Gray-code sweep.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &predicateOracle{target: f.Target()}
 }
 

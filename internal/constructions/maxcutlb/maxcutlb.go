@@ -39,7 +39,7 @@ type Family struct {
 	logK int
 }
 
-var _ lbfamily.Family = (*Family)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*Family)(nil)
 
 // New returns the family for row size k (a power of two, >= 2).
 func New(k int) (*Family, error) {

@@ -9,8 +9,8 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaFamily  = (*Family)(nil)
-	_ lbfamily.OracleFamily = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
 )
 
 // BuildBase constructs the all-zeros instance G_{0,0}, which is exactly
@@ -41,7 +41,7 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // Theorem 2.1 predicate (dominating set of size 4·log k + 2).
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &predicateOracle{target: f.TargetSize()}
 }
 

@@ -39,7 +39,7 @@ type Family struct {
 	logK int
 }
 
-var _ lbfamily.Family = (*Family)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*Family)(nil)
 
 // New returns the family with row size k, which must be a power of two and
 // at least 2. The input length is K = k².

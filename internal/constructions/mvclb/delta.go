@@ -10,8 +10,8 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaFamily  = (*Family)(nil)
-	_ lbfamily.OracleFamily = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
 )
 
 // BuildBase constructs the all-zeros instance G_{0,0}: the fixed skeleton
@@ -44,7 +44,7 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // predicate τ(G) <= M, i.e. α(G) >= Z.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &predicateOracle{target: f.CoverTarget()}
 }
 

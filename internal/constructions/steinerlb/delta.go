@@ -11,8 +11,8 @@ import (
 )
 
 var (
-	_ lbfamily.DeltaFamily  = (*Family)(nil)
-	_ lbfamily.OracleFamily = (*Family)(nil)
+	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
+	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
 )
 
 // BuildBase constructs the all-zeros instance G'_{0,0}: the Theorem 2.6
@@ -52,7 +52,7 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 // NewPredicateOracle returns a per-worker arena-backed evaluator of the
 // Theorem 2.7 predicate (Steiner tree with at most 4k + 16·log k + 1
 // edges), with the terminal list computed once instead of per pair.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle {
+func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
 	return &predicateOracle{terminals: f.Terminals(), target: f.TargetEdges()}
 }
 

@@ -27,7 +27,7 @@ type Family struct {
 	MDS *mdslb.Family
 }
 
-var _ lbfamily.Family = (*Family)(nil)
+var _ lbfamily.Family[*graph.Graph] = (*Family)(nil)
 
 // New returns the family for row size k (a power of two, >= 2).
 func New(k int) (*Family, error) {

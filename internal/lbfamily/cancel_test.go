@@ -120,7 +120,7 @@ func waitGoroutinesBack(t *testing.T, before int) {
 	}
 }
 
-func testCancelMidSweep(t *testing.T, fam Family) {
+func testCancelMidSweep(t *testing.T, fam Family[*graph.Graph]) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -159,7 +159,7 @@ func testCancelMidSweep(t *testing.T, fam Family) {
 }
 
 // setHook installs the test hook on either fixture flavor.
-func setHook(fam Family, hook func(xv, yv uint64)) {
+func setHook(fam Family[*graph.Graph], hook func(xv, yv uint64)) {
 	switch f := fam.(type) {
 	case *hookFamily:
 		f.hook = hook
@@ -189,7 +189,7 @@ func TestVerifyCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func testPanicNamesPair(t *testing.T, fam Family) {
+func testPanicNamesPair(t *testing.T, fam Family[*graph.Graph]) {
 	t.Helper()
 	k := fam.K()
 	setHook(fam, func(xv, yv uint64) {

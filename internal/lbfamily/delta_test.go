@@ -27,7 +27,7 @@ func allInputs(t *testing.T, k int) []comm.Bits {
 	return inputs
 }
 
-func deltaFamilies(t *testing.T) []lbfamily.Family {
+func deltaFamilies(t *testing.T) []lbfamily.Family[*graph.Graph] {
 	t.Helper()
 	mds, err := mdslb.New(2)
 	if err != nil {
@@ -70,7 +70,7 @@ func deltaFamilies(t *testing.T) []lbfamily.Family {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []lbfamily.Family{mds, cut, mvc, apx, steiner, twoMDS, kmds, nodeSteiner, bounded}
+	return []lbfamily.Family[*graph.Graph]{mds, cut, mvc, apx, steiner, twoMDS, kmds, nodeSteiner, bounded}
 }
 
 // TestDeltaMatchesRebuildPairForPair is the differential contract of the
@@ -84,7 +84,7 @@ func TestDeltaMatchesRebuildPairForPair(t *testing.T) {
 			if testing.Short() && fam.Name() == "apx-maxis" {
 				t.Skip("weighted MaxIS differential pass is slow")
 			}
-			if _, ok := fam.(lbfamily.DeltaFamily); !ok {
+			if _, ok := fam.(lbfamily.DeltaFamilyOf[*graph.Graph]); !ok {
 				t.Fatal("family does not implement DeltaFamily")
 			}
 			xs := allInputs(t, fam.K())
@@ -194,7 +194,7 @@ func (d *toyDelta) Predicate(g *graph.Graph) (bool, error) {
 	return g.HasEdge(0, 1) && g.HasEdge(2, 3), nil
 }
 
-var _ lbfamily.DeltaFamily = (*toyDelta)(nil)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*toyDelta)(nil)
 
 // TestDeltaFirstErrorMatchesRebuild asserts that on deliberately broken
 // families the delta path reports the byte-identical first (row-major)
@@ -206,7 +206,7 @@ func TestDeltaFirstErrorMatchesRebuild(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		fam  lbfamily.Family
+		fam  lbfamily.Family[*graph.Graph]
 		want string // substring naming the violated condition
 	}{
 		{name: "condition4", fam: condition4Broken{mds}, want: "condition 4"},
@@ -267,17 +267,17 @@ func TestInconsistentApplyBitFallsBack(t *testing.T) {
 // oracle arena, paid once per worker, up to 16 workers on many-core
 // machines — but not for per-pair rebuilds, which cost ~190 allocs/pair).
 func TestDeltaVerifyAllocsPerPair(t *testing.T) {
-	for _, newFam := range []func() (lbfamily.Family, error){
-		func() (lbfamily.Family, error) { return mdslb.New(2) },
-		func() (lbfamily.Family, error) { return maxcutlb.New(2) },
-		func() (lbfamily.Family, error) {
+	for _, newFam := range []func() (lbfamily.Family[*graph.Graph], error){
+		func() (lbfamily.Family[*graph.Graph], error) { return mdslb.New(2) },
+		func() (lbfamily.Family[*graph.Graph], error) { return maxcutlb.New(2) },
+		func() (lbfamily.Family[*graph.Graph], error) {
 			c, err := cover.Find(4, 12, 2, 7, 500)
 			if err != nil {
 				return nil, err
 			}
 			return kmdslb.NewTwoMDS(kmdslb.Params{Collection: c, R: 2})
 		},
-		func() (lbfamily.Family, error) { return boundedlb.NewFamily(2, 3) },
+		func() (lbfamily.Family[*graph.Graph], error) { return boundedlb.NewFamily(2, 3) },
 	} {
 		fam, err := newFam()
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 	"congesthard/internal/lbfamily"
 )
 
-func digraphDeltaFamilies(t *testing.T) []lbfamily.DigraphFamily {
+func digraphDeltaFamilies(t *testing.T) []lbfamily.Family[*graph.Digraph] {
 	t.Helper()
 	ham, err := hamlb.New(2)
 	if err != nil {
@@ -28,7 +28,7 @@ func digraphDeltaFamilies(t *testing.T) []lbfamily.DigraphFamily {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []lbfamily.DigraphFamily{ham, dir}
+	return []lbfamily.Family[*graph.Digraph]{ham, dir}
 }
 
 // TestDigraphDeltaMatchesRebuildPairForPair is the differential contract
@@ -39,18 +39,18 @@ func TestDigraphDeltaMatchesRebuildPairForPair(t *testing.T) {
 	for _, fam := range digraphDeltaFamilies(t) {
 		fam := fam
 		t.Run(fam.Name(), func(t *testing.T) {
-			if _, ok := fam.(lbfamily.DeltaDigraphFamily); !ok {
-				t.Fatal("family does not implement DeltaDigraphFamily")
+			if _, ok := fam.(lbfamily.DeltaFamilyOf[*graph.Digraph]); !ok {
+				t.Fatal("family does not implement DeltaFamilyOf")
 			}
 			xs := allInputs(t, fam.K())
-			got, usedDelta, err := lbfamily.CollectDigraphOutcomesForTest(fam, xs, xs, false)
+			got, usedDelta, err := lbfamily.CollectOutcomesForTest(fam, xs, xs, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !usedDelta {
 				t.Fatal("delta path fell back to rebuild")
 			}
-			want, usedDelta, err := lbfamily.CollectDigraphOutcomesForTest(fam, xs, xs, true)
+			want, usedDelta, err := lbfamily.CollectOutcomesForTest(fam, xs, xs, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func (d *toyDigraphDelta) Predicate(g *graph.Digraph) (bool, error) {
 	return g.HasArc(0, 1) && g.HasArc(2, 3), nil
 }
 
-var _ lbfamily.DeltaDigraphFamily = (*toyDigraphDelta)(nil)
+var _ lbfamily.DeltaFamilyOf[*graph.Digraph] = (*toyDigraphDelta)(nil)
 
 // TestDigraphDeltaFirstErrorMatchesRebuild asserts that on deliberately
 // broken directed families the delta path reports the byte-identical
@@ -160,7 +160,7 @@ func TestDigraphDeltaFirstErrorMatchesRebuild(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		fam  lbfamily.DigraphFamily
+		fam  lbfamily.Family[*graph.Digraph]
 		want string // substring naming the violated condition
 	}{
 		{name: "condition4", fam: condition4BrokenDigraph{ham}, want: "condition 4"},
@@ -168,8 +168,8 @@ func TestDigraphDeltaFirstErrorMatchesRebuild(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			deltaErr := lbfamily.VerifyDigraph(tc.fam)
-			rebuildErr := lbfamily.VerifyDigraphRebuild(tc.fam)
+			deltaErr := lbfamily.Verify(tc.fam)
+			rebuildErr := lbfamily.VerifyRebuild(tc.fam)
 			if deltaErr == nil || rebuildErr == nil {
 				t.Fatalf("broken family accepted: delta=%v rebuild=%v", deltaErr, rebuildErr)
 			}
@@ -182,10 +182,10 @@ func TestDigraphDeltaFirstErrorMatchesRebuild(t *testing.T) {
 		})
 	}
 	// The unbroken toy family must verify cleanly on both paths.
-	if err := lbfamily.VerifyDigraph(&toyDigraphDelta{}); err != nil {
+	if err := lbfamily.Verify(&toyDigraphDelta{}); err != nil {
 		t.Fatalf("correct toy digraph delta family rejected: %v", err)
 	}
-	if err := lbfamily.VerifyDigraphRebuild(&toyDigraphDelta{}); err != nil {
+	if err := lbfamily.VerifyRebuild(&toyDigraphDelta{}); err != nil {
 		t.Fatalf("correct toy digraph delta family rejected by rebuild path: %v", err)
 	}
 }
@@ -197,16 +197,16 @@ func TestDigraphDeltaFirstErrorMatchesRebuild(t *testing.T) {
 func TestInconsistentDigraphApplyBitFallsBack(t *testing.T) {
 	fam := &toyDigraphDelta{inconsistentApply: true}
 	xs := allInputs(t, fam.K())
-	if _, usedDelta, err := lbfamily.CollectDigraphOutcomesForTest(fam, xs, xs, false); err != nil {
+	if _, usedDelta, err := lbfamily.CollectOutcomesForTest(fam, xs, xs, false); err != nil {
 		t.Fatal(err)
 	} else if usedDelta {
 		t.Fatal("inconsistent delta surface was not detected")
 	}
-	if err := lbfamily.VerifyDigraph(fam); err != nil {
+	if err := lbfamily.Verify(fam); err != nil {
 		t.Fatalf("fallback verification rejected a correct Build: %v", err)
 	}
 	// The consistent surface must keep the delta path.
-	if _, usedDelta, err := lbfamily.CollectDigraphOutcomesForTest(&toyDigraphDelta{}, xs, xs, false); err != nil {
+	if _, usedDelta, err := lbfamily.CollectOutcomesForTest(&toyDigraphDelta{}, xs, xs, false); err != nil {
 		t.Fatal(err)
 	} else if !usedDelta {
 		t.Fatal("consistent delta surface fell back")
@@ -220,11 +220,11 @@ func TestVerifySampledDigraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lbfamily.VerifySampledDigraph(ham, rand.New(rand.NewSource(1)), 12); err != nil {
+	if err := lbfamily.VerifySampled(ham, rand.New(rand.NewSource(1)), 12); err != nil {
 		t.Fatal(err)
 	}
 	broken := condition4BrokenDigraph{ham}
-	if err := lbfamily.VerifySampledDigraph(broken, rand.New(rand.NewSource(1)), 12); err == nil {
+	if err := lbfamily.VerifySampled(broken, rand.New(rand.NewSource(1)), 12); err == nil {
 		t.Fatal("sampled verification accepted a condition-4 break")
 	}
 }
@@ -240,7 +240,7 @@ func TestDigraphDeltaVerifyAllocsPerPair(t *testing.T) {
 	}
 	pairs := float64(int(1) << uint(2*fam.K()))
 	allocs := testing.AllocsPerRun(3, func() {
-		if err := lbfamily.VerifyDigraph(fam); err != nil {
+		if err := lbfamily.Verify(fam); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,16 +16,16 @@ type OutcomeForTest struct {
 	BuildErr, PredErr     error
 }
 
-// collectOutcomesForTest runs verification phase 1 over xs × ys — in
+// CollectOutcomesForTest runs verification phase 1 over xs × ys — in
 // delta-with-fallback mode (forceRebuild = false) or forced rebuild mode —
 // and returns the row-major outcomes plus whether the delta path produced
 // them.
-func collectOutcomesForTest[G Instance](s Surface[G], xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	side, err := s.Side()
+func CollectOutcomesForTest[G Instance](fam Family[G], xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
+	side, err := AliceSide(fam)
 	if err != nil {
 		return nil, false, err
 	}
-	outcomes, status, delta := collectOutcomes(context.Background(), s, side, xs, ys, forceRebuild)
+	outcomes, status, delta := collectOutcomes(context.Background(), fam, side, xs, ys, forceRebuild)
 	views := make([]OutcomeForTest, len(outcomes))
 	for i, o := range outcomes {
 		views[i] = OutcomeForTest{N: o.n, CutHash: o.h.Cut, AHash: o.h.A, BHash: o.h.B, Got: o.got}
@@ -38,23 +38,8 @@ func collectOutcomesForTest[G Instance](s Surface[G], xs, ys []comm.Bits, forceR
 	return views, delta, nil
 }
 
-// CollectOutcomesForTest is phase 1 for an undirected family.
-func CollectOutcomesForTest(fam Family, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	return collectOutcomesForTest(Undirected(fam), xs, ys, forceRebuild)
-}
-
-// CollectDigraphOutcomesForTest is phase 1 for a directed family.
-func CollectDigraphOutcomesForTest(fam DigraphFamily, xs, ys []comm.Bits, forceRebuild bool) ([]OutcomeForTest, bool, error) {
-	return collectOutcomesForTest(Directed(fam), xs, ys, forceRebuild)
-}
-
 // VerifyRebuild is Verify with the delta path disabled; differential tests
 // compare its first error byte for byte against the delta path's.
-func VerifyRebuild(fam Family) error {
-	return verifyExhaustive(context.Background(), Undirected(fam), true)
-}
-
-// VerifyDigraphRebuild is VerifyDigraph with the delta path disabled.
-func VerifyDigraphRebuild(fam DigraphFamily) error {
-	return verifyExhaustive(context.Background(), Directed(fam), true)
+func VerifyRebuild[G Instance](fam Family[G]) error {
+	return verifyExhaustive(context.Background(), fam, true)
 }

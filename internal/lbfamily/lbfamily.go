@@ -2,14 +2,18 @@
 // of lower bound graphs (Definition 1.1), and makes Theorem 1.1 executable:
 //
 //   - A Family builds the graph G_{x,y} for any input pair and exposes the
-//     fixed Alice/Bob vertex partition and the predicate P.
+//     fixed Alice/Bob vertex partition and the predicate P. Its type
+//     parameter is the graph kind: *graph.Graph, or *graph.Digraph for the
+//     directed constructions, which use the same framework (Theorems 2.2
+//     and 4.7); every function here serves both kinds.
 //   - Verify checks conditions 1-4 of Definition 1.1 exhaustively (all
 //     2^K x 2^K input pairs) using an exact solver as the predicate oracle;
 //     VerifySampled spot-checks larger parameters.
 //   - Families whose instances are a fixed skeleton plus O(1) edges per
-//     input bit can opt into DeltaFamily: verification then walks the input
-//     cube in Gray-code order and pays O(delta) per pair instead of
+//     input bit can opt into DeltaFamilyOf: verification then walks the
+//     input cube in Gray-code order and pays O(delta) per pair instead of
 //     rebuilding, re-freezing and re-hashing every G_{x,y} from scratch.
+//     A family with a reusable predicate evaluator opts into OracleFamily.
 //   - ImpliedLowerBound evaluates the Theorem 1.1 round bound
 //     Ω(CC(f) / (|E_cut| log n)) from the measured family parameters.
 //   - SimulateTwoParty runs a CONGEST algorithm on G_{x,y} with the cut
@@ -30,8 +34,11 @@ import (
 )
 
 // Family is a family of lower bound graphs {G_{x,y}} with respect to a
-// two-party function f and a graph predicate P (Definition 1.1).
-type Family interface {
+// two-party function f and a graph predicate P (Definition 1.1). G is the
+// graph kind of its instances: *graph.Graph for the undirected families,
+// *graph.Digraph for the directed ones (Hamiltonian path, directed
+// Steiner tree).
+type Family[G Instance] interface {
 	// Name identifies the family, e.g. "mds".
 	Name() string
 	// K is the input length per player.
@@ -40,15 +47,15 @@ type Family interface {
 	// condition 4, Predicate(Build(x,y)) must equal Func().Eval(x,y).
 	Func() comm.Function
 	// Build constructs G_{x,y}.
-	Build(x, y comm.Bits) (*graph.Graph, error)
+	Build(x, y comm.Bits) (G, error)
 	// AliceSide marks V_A in the (input-independent) vertex set.
 	AliceSide() []bool
 	// Predicate decides P exactly (it may be expensive; it is the
 	// verification oracle, not part of the construction).
-	Predicate(g *graph.Graph) (bool, error)
+	Predicate(g G) (bool, error)
 }
 
-// Input-bit owners for DeltaFamily.ApplyBit.
+// Input-bit owners for DeltaFamilyOf.ApplyBit.
 const (
 	// PlayerX marks a bit of Alice's input x.
 	PlayerX = 0
@@ -56,79 +63,97 @@ const (
 	PlayerY = 1
 )
 
-// DeltaFamily is the incremental-construction extension of Family for
+// DeltaFamilyOf is the incremental-construction extension of Family for
 // "pure bit gadget" constructions: G_{x,y} is a fixed skeleton (BuildBase,
-// the all-zeros instance G_{0,0}) plus a bounded set of edges attached to
-// each input bit. ApplyBit toggles exactly those edges, so the exhaustive
-// verifier can walk the 2^(2K) input pairs in Gray-code order and update
-// one instance graph in O(delta) per pair.
+// the all-zeros instance G_{0,0}) plus a bounded set of edges (arcs, for
+// a digraph) attached to each input bit. ApplyBit toggles exactly those,
+// so the exhaustive verifier can walk the 2^(2K) input pairs in Gray-code
+// order and update one instance in O(delta) per pair.
 //
-// Contract: ApplyBit(g, player, bit, val) transforms the instance graph of
-// an input whose (player, bit) is !val into the instance graph where it is
-// val, mutating edges and vertex weights only (no vertex additions) and
-// only through ToggleEdge/SetEdgeWeight/SetVertexWeight, so the graph's
-// mutation journals capture the delta. Before taking the delta path, Verify
-// spot-checks the surface: BuildBase plus ApplyBit over every bit must
-// reproduce Build's all-ones instance hash-for-hash, else it falls back
-// to rebuilding every pair. Exhaustive pair-for-pair agreement of the two
-// paths is asserted by the package's differential tests for the in-repo
-// families.
-type DeltaFamily interface {
-	Family
+// Contract: ApplyBit(g, player, bit, val) transforms the instance of an
+// input whose (player, bit) is !val into the instance where it is val,
+// mutating edges and vertex weights only (no vertex additions) and only
+// through ToggleEdge/SetEdgeWeight/SetVertexWeight (ToggleArc on a
+// digraph), so the instance's mutation journals capture the delta. Before
+// taking the delta path, Verify spot-checks the surface: BuildBase plus
+// ApplyBit over every bit must reproduce Build's all-ones instance
+// hash-for-hash, else it falls back to rebuilding every pair. Exhaustive
+// pair-for-pair agreement of the two paths is asserted by the package's
+// differential tests for the in-repo families.
+type DeltaFamilyOf[G Instance] interface {
+	Family[G]
 	// BuildBase constructs the all-zeros instance G_{0,0}.
-	BuildBase() (*graph.Graph, error)
+	BuildBase() (G, error)
 	// ApplyBit applies the change of one input bit to val.
-	ApplyBit(g *graph.Graph, player, bit int, val bool) error
+	ApplyBit(g G, player, bit int, val bool) error
 }
 
 // PredicateOracle is a reusable predicate evaluator (typically wrapping an
 // arena-backed solver oracle) that a verification worker holds across many
 // pairs so predicate evaluation stops paying per-call allocation.
-type PredicateOracle interface {
-	Eval(g *graph.Graph) (bool, error)
+type PredicateOracle[G Instance] interface {
+	Eval(g G) (bool, error)
 }
 
 // OracleFamily is implemented by families whose predicate can be evaluated
 // through a reusable per-worker oracle. NewPredicateOracle must return an
 // oracle whose verdicts (and errors) match Predicate exactly.
-type OracleFamily interface {
-	Family
-	NewPredicateOracle() PredicateOracle
+type OracleFamily[G Instance] interface {
+	Family[G]
+	NewPredicateOracle() PredicateOracle[G]
 }
 
-// DigraphFamily is the directed-graph analogue of Family, used by the
-// Hamiltonian path and directed Steiner constructions.
-type DigraphFamily interface {
-	Name() string
-	K() int
-	Func() comm.Function
-	Build(x, y comm.Bits) (*graph.Digraph, error)
-	AliceSide() []bool
-	Predicate(d *graph.Digraph) (bool, error)
+// IsDigraph reports whether G is the directed kind, *graph.Digraph.
+func IsDigraph[G Instance]() bool {
+	_, ok := any(*new(G)).(*graph.Digraph)
+	return ok
+}
+
+// AliceSide returns a family's Alice side, through AliceSideChecked when
+// the family offers it (DerivedFamily, which must build an instance to
+// learn its side), so a failed build is an error instead of a nil side.
+func AliceSide(fam interface{ AliceSide() []bool }) ([]bool, error) {
+	if checked, ok := fam.(interface{ AliceSideChecked() ([]bool, error) }); ok {
+		return checked.AliceSideChecked()
+	}
+	return fam.AliceSide(), nil
 }
 
 // Stats are the measured parameters of a family that determine the
 // Theorem 1.1 bound.
 type Stats struct {
 	N       int // vertices in G_{x,y} (fixed across inputs)
-	M       int // edges of the all-zero instance
+	M       int // edges (arcs) of the all-zero instance
 	CutSize int // |E_cut|
 	K       int // input bits per player
 }
 
 // MeasureStats builds the all-zeros instance and reports its parameters.
-func MeasureStats(fam Family) (Stats, error) {
+// The Alice side is read through AliceSide, so a side that fails to
+// resolve, or whose length differs from the vertex count, is an error
+// rather than a cut over the wrong partition.
+func MeasureStats[G Instance](fam Family[G]) (Stats, error) {
 	zero := comm.NewBits(fam.K())
 	g, err := fam.Build(zero, zero)
 	if err != nil {
 		return Stats{}, err
 	}
-	return Stats{
-		N:       g.N(),
-		M:       g.M(),
-		CutSize: len(g.CutEdges(fam.AliceSide())),
-		K:       fam.K(),
-	}, nil
+	side, err := AliceSide(fam)
+	if err != nil {
+		return Stats{}, fmt.Errorf("alice side: %w", err)
+	}
+	if len(side) != g.N() {
+		return Stats{}, fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), g.N())
+	}
+	return Stats{N: g.N(), M: g.M(), CutSize: cutSize(g, side), K: fam.K()}, nil
+}
+
+// cutSize counts the edges (arcs) of g crossing side.
+func cutSize[G Instance](g G, side []bool) int {
+	if d, ok := any(g).(*graph.Digraph); ok {
+		return len(d.CutArcs(side))
+	}
+	return len(any(g).(*graph.Graph).CutEdges(side))
 }
 
 // ImpliedLowerBound evaluates Theorem 1.1: a family w.r.t. f yields a round
@@ -154,12 +179,13 @@ func ImpliedLowerBound(stats Stats, f comm.Function) (float64, error) {
 //  3. symmetrically for x;
 //  4. Predicate(G_{x,y}) == f(x, y) for every pair.
 //
-// Families implementing DeltaFamily are verified delta-driven: each worker
-// walks its column shard in Gray-code order over x for fixed y, toggling
-// only the changed bit's edges between pairs. Everything observable — the
-// checks, the first-error choice and its message — is identical to the
-// rebuild-every-pair path, which remains the transparent fallback.
-func Verify(fam Family) error { return VerifyCtx(context.Background(), fam) }
+// Families implementing DeltaFamilyOf are verified delta-driven: each
+// worker walks its column shard in Gray-code order over x for fixed y,
+// toggling only the changed bit's edges between pairs. Everything
+// observable — the checks, the first-error choice and its message — is
+// identical to the rebuild-every-pair path, which remains the transparent
+// fallback. G is inferred from the family's methods.
+func Verify[G Instance](fam Family[G]) error { return VerifyCtx(context.Background(), fam) }
 
 // VerifyCtx is Verify with cancellation: when ctx is cancelled (or its
 // deadline passes) mid-sweep, the workers drain promptly and the call
@@ -167,8 +193,8 @@ func Verify(fam Family) error { return VerifyCtx(context.Background(), fam) }
 // instead of running the remaining pairs to completion. A panic inside a
 // worker is confined to its pair and surfaces as a *PanicError naming the
 // (x, y) pair.
-func VerifyCtx(ctx context.Context, fam Family) error {
-	return verifyExhaustive(ctx, Undirected(fam), false)
+func VerifyCtx[G Instance](ctx context.Context, fam Family[G]) error {
+	return verifyExhaustive(ctx, fam, false)
 }
 
 // VerifySampled checks Definition 1.1 on up to trials distinct random
@@ -176,32 +202,33 @@ func VerifyCtx(ctx context.Context, fam Family) error {
 // deduplicated — a repeated string would only re-run identical predicate
 // evaluations). Structural conditions (1-3) are checked pairwise across
 // the sample.
-func VerifySampled(fam Family, rng *rand.Rand, trials int) error {
+func VerifySampled[G Instance](fam Family[G], rng *rand.Rand, trials int) error {
 	return VerifySampledCtx(context.Background(), fam, rng, trials)
 }
 
 // VerifySampledCtx is VerifySampled with cancellation, like VerifyCtx.
-func VerifySampledCtx(ctx context.Context, fam Family, rng *rand.Rand, trials int) error {
+func VerifySampledCtx[G Instance](ctx context.Context, fam Family[G], rng *rand.Rand, trials int) error {
 	inputs := sampledInputs(fam.K(), rng, trials)
-	return verify(ctx, Undirected(fam), inputs, inputs, false)
+	return verify(ctx, fam, inputs, inputs, false)
 }
 
-// verifyExhaustive verifies s over the whole input cube.
-func verifyExhaustive[G Instance](ctx context.Context, s Surface[G], forceRebuild bool) error {
-	if s.K > 12 {
-		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use %s)", s.K, s.sampled)
+// verifyExhaustive verifies fam over the whole input cube.
+func verifyExhaustive[G Instance](ctx context.Context, fam Family[G], forceRebuild bool) error {
+	k := fam.K()
+	if k > 12 {
+		return fmt.Errorf("exhaustive verification limited to K <= 12, got %d (use VerifySampled)", k)
 	}
-	inputs := make([]comm.Bits, 0, 1<<uint(s.K))
-	if err := comm.AllBits(s.K, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
+	inputs := make([]comm.Bits, 0, 1<<uint(k))
+	if err := comm.AllBits(k, func(b comm.Bits) { inputs = append(inputs, b.Clone()) }); err != nil {
 		return err
 	}
-	return verify(ctx, s, inputs, inputs, forceRebuild)
+	return verify(ctx, fam, inputs, inputs, forceRebuild)
 }
 
 // sampledInputs draws the shared sampled-verification input set: the
 // all-zeros and all-ones corners plus up to trials distinct random k-bit
 // strings (duplicates are discarded — re-running an identical input adds
-// no coverage). Both the undirected and directed sampled verifiers use it.
+// no coverage).
 func sampledInputs(k int, rng *rand.Rand, trials int) []comm.Bits {
 	ones := comm.OnesBits(k)
 	inputs := []comm.Bits{comm.NewBits(k), ones}
@@ -231,15 +258,15 @@ var errVertexCount = errors.New("vertex count differs from the Alice side")
 
 // verify checks Definition 1.1 over xs × ys: phase 1 computes every
 // pair's outcome on the sweep engine, phase 2 scans them serially.
-func verify[G Instance](ctx context.Context, s Surface[G], xs, ys []comm.Bits, forceRebuild bool) error {
-	side, err := s.Side()
+func verify[G Instance](ctx context.Context, fam Family[G], xs, ys []comm.Bits, forceRebuild bool) error {
+	side, err := AliceSide(fam)
 	if err != nil {
 		return fmt.Errorf("alice side: %w", err)
 	}
 	if len(xs)*len(ys) == 0 {
 		return nil
 	}
-	outcomes, status, _ := collectOutcomes(ctx, s, side, xs, ys, forceRebuild)
+	outcomes, status, _ := collectOutcomes(ctx, fam, side, xs, ys, forceRebuild)
 	completed := 0
 	for _, st := range status {
 		if st.Done {
@@ -249,7 +276,7 @@ func verify[G Instance](ctx context.Context, s Surface[G], xs, ys []comm.Bits, f
 	if err := ctx.Err(); err != nil && completed < len(status) {
 		return &CancelledError{Completed: completed, Total: len(status), Err: err}
 	}
-	return scanOutcomes(s, side, xs, ys, outcomes, status)
+	return scanOutcomes(fam, side, xs, ys, outcomes, status)
 }
 
 // collectOutcomes is verification phase 1: every pair's outcome, indexed
@@ -259,13 +286,13 @@ func verify[G Instance](ctx context.Context, s Surface[G], xs, ys []comm.Bits, f
 // delta walk whose base build or ApplyBit fails falls back to the
 // rebuild path, whose error reporting is the reference; a merely
 // cancelled one does not — the interruption is the caller's to report.
-func collectOutcomes[G Instance](ctx context.Context, s Surface[G], side []bool, xs, ys []comm.Bits, forceRebuild bool) ([]pairOutcome, []PairStatus, bool) {
-	if !forceRebuild && s.BuildBase != nil && deltaSurfaceConsistent(s, side) {
-		if outcomes, status, err := verifyPairs(ctx, s, side, xs, ys, true); err == nil && !deltaBroken(status) {
+func collectOutcomes[G Instance](ctx context.Context, fam Family[G], side []bool, xs, ys []comm.Bits, forceRebuild bool) ([]pairOutcome, []PairStatus, bool) {
+	if df, ok := fam.(DeltaFamilyOf[G]); ok && !forceRebuild && deltaSurfaceConsistent(df, side) {
+		if outcomes, status, err := verifyPairs(ctx, fam, side, xs, ys, true); err == nil && !deltaBroken(status) {
 			return outcomes, status, true
 		}
 	}
-	outcomes, status, _ := verifyPairs(ctx, s, side, xs, ys, false)
+	outcomes, status, _ := verifyPairs(ctx, fam, side, xs, ys, false)
 	return outcomes, status, false
 }
 
@@ -283,24 +310,25 @@ func deltaBroken(status []PairStatus) bool {
 // walks the xs in walkOrder. A delta worker folds its instance's mutation
 // journal into running hashes, O(1) per toggled element, where the
 // rebuild path rehashes every instance.
-func verifyPairs[G Instance](ctx context.Context, s Surface[G], side []bool, xs, ys []comm.Bits, delta bool) ([]pairOutcome, []PairStatus, error) {
+func verifyPairs[G Instance](ctx context.Context, fam Family[G], side []bool, xs, ys []comm.Bits, delta bool) ([]pairOutcome, []PairStatus, error) {
 	outcomes := make([]pairOutcome, len(xs)*len(ys))
-	order := walkOrder(xs, s.K)
+	k := fam.K()
+	order := walkOrder(xs, k)
 	sw := Sweep[G]{
-		Cols: len(ys), ColLen: len(xs), K: s.K, Build: s.Build,
+		Cols: len(ys), ColLen: len(xs), K: k, Build: fam.Build,
 		Pair: func(c, i int) (int, comm.Bits, comm.Bits) {
 			xi := order[i]
 			return xi*len(ys) + c, xs[xi], ys[c]
 		},
 		Worker: func(g G) Step[G] {
-			eval := s.Predicate
+			eval := fam.Predicate
 			var h graph.SideHashes
 			if delta {
 				g.FreezePatchable()
 				g.StartJournal()
 				h = g.SideHashes(side)
-				if s.NewOracle != nil {
-					eval = s.NewOracle()
+				if of, ok := fam.(OracleFamily[G]); ok {
+					eval = of.NewPredicateOracle().Eval
 				}
 			}
 			return func(idx int, g G, x, y comm.Bits) error {
@@ -321,7 +349,8 @@ func verifyPairs[G Instance](ctx context.Context, s Surface[G], side []bool, xs,
 		},
 	}
 	if delta {
-		sw.BuildBase, sw.ApplyBit = s.BuildBase, s.ApplyBit
+		df := fam.(DeltaFamilyOf[G])
+		sw.BuildBase, sw.ApplyBit = df.BuildBase, df.ApplyBit
 	}
 	status, err := sw.Run(ctx)
 	return outcomes, status, err
@@ -334,20 +363,20 @@ func verifyPairs[G Instance](ctx context.Context, s Surface[G], side []bool, xs,
 // attached elements once for the cost of two builds; a family whose
 // ApplyBit disagrees with Build falls back to the rebuild path (as does a
 // family whose base build fails, so the rebuild path reports its error).
-func deltaSurfaceConsistent[G Instance](s Surface[G], side []bool) bool {
+func deltaSurfaceConsistent[G Instance](fam DeltaFamilyOf[G], side []bool) bool {
 	var none G
-	ones := comm.OnesBits(s.K)
-	want, err := s.Build(ones, ones)
+	ones := comm.OnesBits(fam.K())
+	want, err := fam.Build(ones, ones)
 	if err != nil || want == none || want.N() != len(side) {
 		return false
 	}
-	g, err := s.BuildBase()
+	g, err := fam.BuildBase()
 	if err != nil || g == none || g.N() != len(side) {
 		return false
 	}
 	for _, player := range [2]int{PlayerX, PlayerY} {
-		for i := 0; i < s.K; i++ {
-			if err := s.ApplyBit(g, player, i, true); err != nil {
+		for i := 0; i < fam.K(); i++ {
+			if err := fam.ApplyBit(g, player, i, true); err != nil {
 				return false
 			}
 		}
@@ -389,7 +418,12 @@ func canonicalCube(xs []comm.Bits, k int) bool {
 // scanOutcomes is verification phase 2: the serial row-major scan that
 // turns the outcomes into the first violation, identical in order and
 // messages to the historical serial verifier.
-func scanOutcomes[G Instance](s Surface[G], side []bool, xs, ys []comm.Bits, outcomes []pairOutcome, status []PairStatus) error {
+func scanOutcomes[G Instance](fam Family[G], side []bool, xs, ys []comm.Bits, outcomes []pairOutcome, status []PairStatus) error {
+	f := fam.Func()
+	cut := "edges"
+	if IsDigraph[G]() {
+		cut = "arcs"
+	}
 	wantN := -1
 	var cutHash uint64
 	bByY := make([]uint64, len(ys))
@@ -419,7 +453,7 @@ func scanOutcomes[G Instance](s Surface[G], side []bool, xs, ys []comm.Bits, out
 				return fmt.Errorf("condition 1 violated: vertex count %d != %d at (%s,%s)", out.n, wantN, x, y)
 			}
 			if out.h.Cut != cutHash {
-				return fmt.Errorf("cut %s changed with input at (%s,%s)", s.cut, x, y)
+				return fmt.Errorf("cut %s changed with input at (%s,%s)", cut, x, y)
 			}
 			if bSeen[yi] && bByY[yi] != out.h.B {
 				return fmt.Errorf("condition 2 violated: G[V_B] changed with x at (%s,%s)", x, y)
@@ -432,8 +466,8 @@ func scanOutcomes[G Instance](s Surface[G], side []bool, xs, ys []comm.Bits, out
 			if err != nil {
 				return fmt.Errorf("predicate at (%s,%s): %w", x, y, err)
 			}
-			if want := s.Func.Eval(x, y); out.got != want {
-				return fmt.Errorf("condition 4 violated at (x=%s, y=%s): P=%v but %s=%v", x, y, out.got, s.Func.Name(), want)
+			if want := f.Eval(x, y); out.got != want {
+				return fmt.Errorf("condition 4 violated at (x=%s, y=%s): P=%v but %s=%v", x, y, out.got, f.Name(), want)
 			}
 		}
 	}
@@ -444,7 +478,7 @@ func scanOutcomes[G Instance](s Surface[G], side []bool, xs, ys []comm.Bits, out
 // simulating V_A and Bob V_B, metering the bits that cross the cut. This is
 // the simulation at the heart of Theorem 1.1: a T-round algorithm yields a
 // protocol exchanging at most 2*T*|E_cut|*B bits.
-func SimulateTwoParty(fam Family, x, y comm.Bits, factory congest.Factory) (*congest.Result, error) {
+func SimulateTwoParty(fam Family[*graph.Graph], x, y comm.Bits, factory congest.Factory) (*congest.Result, error) {
 	g, err := fam.Build(x, y)
 	if err != nil {
 		return nil, err
@@ -460,7 +494,7 @@ func SimulateTwoParty(fam Family, x, y comm.Bits, factory congest.Factory) (*con
 // is again a family of lower bound graphs.
 type DerivedFamily struct {
 	// Inner is the source family (P1 in Theorem 2.6).
-	Inner Family
+	Inner Family[*graph.Graph]
 	// FamilyName names the derived family.
 	FamilyName string
 	// Transform maps G_{x,y} and the inner Alice side to the derived graph
@@ -478,7 +512,7 @@ type DerivedFamily struct {
 	sideErr    error
 }
 
-var _ Family = (*DerivedFamily)(nil)
+var _ Family[*graph.Graph] = (*DerivedFamily)(nil)
 
 // Name returns the derived family's name.
 func (d *DerivedFamily) Name() string { return d.FamilyName }

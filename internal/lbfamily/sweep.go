@@ -12,102 +12,28 @@ import (
 	"congesthard/internal/graph"
 )
 
-// Instance is a graph kind the sweep engine walks: the *graph.Graph of
-// Family or the *graph.Digraph of DigraphFamily. Both kinds expose the
-// same structural-hash and delta-journal surface.
+// Instance is a graph kind a family builds and the sweep engine walks:
+// *graph.Graph or *graph.Digraph. Both kinds expose the same
+// structural-hash and delta-journal surface.
 type Instance interface {
 	*graph.Graph | *graph.Digraph
 	N() int
+	M() int
 	SideHashes(side []bool) graph.SideHashes
 	FoldJournal(side []bool, s *graph.SideHashes)
 	FreezePatchable() *graph.CSR
 	StartJournal()
 }
 
-// Surface is a family seen through its graph kind G: what the verifier
-// and the certifier use of Family and its DeltaFamily/OracleFamily
-// extensions (Undirected), or of DigraphFamily and its directed twins
-// (Directed).
-type Surface[G Instance] struct {
-	Name string
-	K    int
-	Func comm.Function
-	// Side resolves V_A, surfacing the build error of families
-	// (DerivedFamily) that must build an instance to learn it.
-	Side      func() ([]bool, error)
-	Stats     func() (Stats, error)
-	Build     func(x, y comm.Bits) (G, error)
-	Predicate func(g G) (bool, error)
-	// BuildBase and ApplyBit are the delta surface, nil without one.
-	BuildBase func() (G, error)
-	ApplyBit  func(g G, player, bit int, val bool) error
-	// NewOracle returns a per-worker predicate evaluator, nil without one.
-	NewOracle func() func(g G) (bool, error)
-
-	// The kind's words in error messages: the cut's elements ("edges" or
-	// "arcs") and the sampled verifier the exhaustive K limit points to.
-	cut, sampled string
-}
-
-// Undirected is the Surface of an undirected family.
-func Undirected(fam Family) Surface[*graph.Graph] {
-	s := Surface[*graph.Graph]{
-		Name: fam.Name(), K: fam.K(), Func: fam.Func(),
-		Side:      func() ([]bool, error) { return aliceSide(fam) },
-		Stats:     func() (Stats, error) { return MeasureStats(fam) },
-		Build:     fam.Build,
-		Predicate: fam.Predicate,
-		cut:       "edges",
-		sampled:   "VerifySampled",
-	}
-	if df, ok := fam.(DeltaFamily); ok {
-		s.BuildBase, s.ApplyBit = df.BuildBase, df.ApplyBit
-	}
-	if of, ok := fam.(OracleFamily); ok {
-		s.NewOracle = func() func(*graph.Graph) (bool, error) { return of.NewPredicateOracle().Eval }
-	}
-	return s
-}
-
-// Directed is the Surface of a directed family.
-func Directed(fam DigraphFamily) Surface[*graph.Digraph] {
-	s := Surface[*graph.Digraph]{
-		Name: fam.Name(), K: fam.K(), Func: fam.Func(),
-		Side:      func() ([]bool, error) { return aliceSide(fam) },
-		Stats:     func() (Stats, error) { return MeasureDigraphStats(fam) },
-		Build:     fam.Build,
-		Predicate: fam.Predicate,
-		cut:       "arcs",
-		sampled:   "VerifySampledDigraph",
-	}
-	if df, ok := fam.(DeltaDigraphFamily); ok {
-		s.BuildBase, s.ApplyBit = df.BuildBase, df.ApplyBit
-	}
-	if of, ok := fam.(DigraphOracleFamily); ok {
-		s.NewOracle = func() func(*graph.Digraph) (bool, error) { return of.NewDigraphPredicateOracle().Eval }
-	}
-	return s
-}
-
-// aliceSide returns a family's Alice side, through AliceSideChecked when
-// the family offers it.
-func aliceSide(fam interface{ AliceSide() []bool }) ([]bool, error) {
-	if checked, ok := fam.(interface{ AliceSideChecked() ([]bool, error) }); ok {
-		return checked.AliceSideChecked()
-	}
-	return fam.AliceSide(), nil
-}
-
 // Step runs one pair on its instance g; a non-nil error fails the pair.
 type Step[G Instance] func(idx int, g G, x, y comm.Bits) error
 
-// Sweep is the one sharded walk behind Verify, VerifyDigraph, Certify and
-// CertifyDigraph. The pairs form Cols columns of ColLen pairs; workers
-// claim whole columns off one atomic counter and visit each column's
-// pairs in order. With a delta surface each worker owns one instance,
-// built by BuildBase and moved between pairs by ApplyBit over the bits
-// that differ (one bit within a Gray column); without one, every pair is
-// built by Build.
+// Sweep is the one sharded walk behind Verify and Certify, for both graph
+// kinds. The pairs form Cols columns of ColLen pairs; workers claim whole
+// columns off one atomic counter and visit each column's pairs in order.
+// With a delta surface each worker owns one instance, built by BuildBase
+// and moved between pairs by ApplyBit over the bits that differ (one bit
+// within a Gray column); without one, every pair is built by Build.
 type Sweep[G Instance] struct {
 	Cols, ColLen int
 	// Pair maps step i of column c to the pair's canonical index, in

@@ -2,10 +2,10 @@ package obs
 
 // SweepMetrics bundles the per-pair histograms a Theorem 1.1
 // certification sweep feeds: wall-clock latency per pair, CONGEST
-// rounds per pair, and cut bits per pair. reduction.Certify and
-// reduction.CertifyDigraph accept one via Config.Metrics and observe
-// each pair as it completes; the serve layer registers a shared
-// instance so every job's sweep lands in the same /v1/metrics series.
+// rounds per pair, and cut bits per pair. reduction.Certify accepts one
+// via Config.Metrics, on either graph kind, and observes each pair as it
+// completes; the serve layer registers a shared instance so every job's
+// sweep lands in the same /v1/metrics series.
 type SweepMetrics struct {
 	PairSeconds *Histogram
 	PairRounds  *Histogram

@@ -22,7 +22,7 @@ func hamFam(t *testing.T) *hamlb.Family {
 
 func TestCertifyDigraphCollectHamPathExhaustive(t *testing.T) {
 	fam := hamFam(t)
-	rep, err := CertifyDigraph(fam, CollectHamPath(fam), Config{Seed: 1})
+	rep, err := Certify(fam, CollectHamPath(fam), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +64,17 @@ func TestCertifyDigraphCollectHamPathExhaustive(t *testing.T) {
 }
 
 func TestCertifyDigraphDeltaMatchesRebuild(t *testing.T) {
-	// The DeltaDigraphFamily incremental walk (one mutable digraph, arc
+	// The DeltaFamilyOf incremental walk (one mutable digraph, arc
 	// toggles between Gray-adjacent pairs, spliced patchable snapshot)
 	// must produce pair-for-pair identical measurements to independent
 	// per-pair rebuilds.
 	fam := hamFam(t)
 	alg := CollectHamPath(fam)
-	delta, err := CertifyDigraph(fam, alg, Config{Seed: 5})
+	delta, err := Certify(fam, alg, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuild, err := CertifyDigraph(fam, alg, Config{Seed: 5, ForceRebuild: true})
+	rebuild, err := Certify(fam, alg, Config{Seed: 5, ForceRebuild: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCertifyDigraphDeltaMatchesRebuild(t *testing.T) {
 
 func TestCertifyDigraphFlagsGreedyPath(t *testing.T) {
 	fam := hamFam(t)
-	rep, err := CertifyDigraph(fam, GreedyHamPath(fam), Config{Seed: 1})
+	rep, err := Certify(fam, GreedyHamPath(fam), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCertifyDigraphDirSteiner(t *testing.T) {
 	// The directed Steiner collect pairing exercises the weight chunks of
 	// the arc frames (0- and alpha-weighted arcs) end to end.
 	fam := dirSteinerFam(t)
-	rep, err := CertifyDigraph(fam, CollectDirSteiner(fam), Config{Seed: 2, Pairs: 12, TranscriptChecks: 2})
+	rep, err := Certify(fam, CollectDirSteiner(fam), Config{Seed: 2, Pairs: 12, TranscriptChecks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestCertifyDigraphTranscriptChecks(t *testing.T) {
 	// The directed simulation-invariant spot check must pass on the real
 	// pairings (deterministic programs replay exactly).
 	fam := hamFam(t)
-	if _, err := CertifyDigraph(fam, CollectHamPath(fam), Config{Seed: 4, Pairs: 6, TranscriptChecks: 3}); err != nil {
+	if _, err := Certify(fam, CollectHamPath(fam), Config{Seed: 4, Pairs: 6, TranscriptChecks: 3}); err != nil {
 		t.Errorf("collect transcript check failed: %v", err)
 	}
-	if _, err := CertifyDigraph(fam, GreedyHamPath(fam), Config{Seed: 4, Pairs: 6, TranscriptChecks: 3}); err != nil {
+	if _, err := Certify(fam, GreedyHamPath(fam), Config{Seed: 4, Pairs: 6, TranscriptChecks: 3}); err != nil {
 		t.Errorf("greedy-path transcript check failed: %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestCertifyDigraphExhaustiveRequiresSmallK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CertifyDigraph(fam, CollectHamPath(fam), Config{})
+	_, err = Certify(fam, CollectHamPath(fam), Config{})
 	if err == nil || !strings.Contains(err.Error(), "K <= 8") ||
 		!strings.Contains(err.Error(), "sampled certification") {
 		t.Errorf("K=16 exhaustive certification accepted or error does not name the sampled alternative: %v", err)

@@ -62,9 +62,9 @@ func TestCertifyCtxConcurrent(t *testing.T) {
 	}
 }
 
-// TestCertifyDigraphCtxConcurrent is the directed twin: concurrent sweeps
-// of the Hamiltonian-path family through CertifyDigraphCtx, sharing one
-// family and one algorithm value.
+// TestCertifyDigraphCtxConcurrent is the directed case: concurrent sweeps
+// of the Hamiltonian-path family through CertifyCtx, sharing one family
+// and one algorithm value.
 func TestCertifyDigraphCtxConcurrent(t *testing.T) {
 	fam, err := hamlb.New(2)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestCertifyDigraphCtxConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = CertifyDigraphCtx(context.Background(), fam, alg, Config{Pairs: 12, Seed: int64(i + 1)})
+			reports[i], errs[i] = CertifyCtx(context.Background(), fam, alg, Config{Pairs: 12, Seed: int64(i + 1)})
 		}(i)
 	}
 	wg.Wait()

@@ -80,7 +80,7 @@ func TestCertifyDigraphFeedsSweepMetricsAndTrace(t *testing.T) {
 			traced++
 			return tr
 		}}
-	rep, err := CertifyDigraph(fam, CollectHamPath(fam), cfg)
+	rep, err := Certify(fam, CollectHamPath(fam), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

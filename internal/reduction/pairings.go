@@ -10,25 +10,28 @@ import (
 	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/constructions/mvclb"
 	"congesthard/internal/graph"
+	"congesthard/internal/lbfamily"
 	"congesthard/internal/solver"
 )
 
-// This file wires concrete algorithm/family pairings for Certify: the
-// exact collect-and-solve upper bound on the MDS family, two classic
-// approximation baselines that Certify flags as not deciding the predicate
-// (greedy dominating set, maximal-matching vertex cover), and the
-// Theorem 2.9-style sampling estimator on the weighted max-cut family.
+// This file wires concrete algorithm/family pairings for Certify on the
+// undirected families: the exact collect-and-solve upper bound on the MDS
+// family, two classic approximation baselines that Certify flags as not
+// deciding the predicate (greedy dominating set, maximal-matching vertex
+// cover), and the Theorem 2.9-style sampling estimator on the weighted
+// max-cut family.
 
-// collectAlgorithm runs the metered gossip collect program: eval computes
-// a component-additive quantity at each component root (the domination
-// number, a greedy set size) and answer turns the summed total into the
+// collectAlgorithm runs the metered gossip collect program on either graph
+// kind: eval computes a component-additive quantity at each (weak)
+// component root (the domination number, a greedy set size, a
+// Hamiltonian path indicator) and answer turns the summed total into the
 // predicate decision.
-func collectAlgorithm(name string, exact bool, eval func(component *graph.Graph) (int64, error), answer func(total int64) bool) Algorithm {
-	return Algorithm{
+func collectAlgorithm[G lbfamily.Instance](name string, exact bool, eval func(component G) (int64, error), answer func(total int64) bool) AlgorithmOf[G] {
+	return AlgorithmOf[G]{
 		Name:  name,
 		Exact: exact,
-		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.CollectFactory(g, bandwidth, algorithms.CollectSpec{Eval: eval})
+		Prepare: func(g G, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
+			factory, _, err := algorithms.CollectFactory(g, bandwidth, algorithms.CollectSpec[G]{Eval: eval})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -66,7 +69,7 @@ func dominationNumber(g *graph.Graph) (int64, error) {
 // whole graph and solving minimum dominating set at each component root
 // (γ is component-additive): the O(m + D) upper bound the Ω̃(n²) lower
 // bound nearly matches. Certify reports zero mismatches.
-func CollectMDS(fam *mdslb.Family) Algorithm {
+func CollectMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 	return collectAlgorithm("collect", true, dominationNumber,
 		func(total int64) bool { return total <= int64(fam.TargetSize()) })
 }
@@ -80,12 +83,12 @@ func CollectMDS(fam *mdslb.Family) Algorithm {
 // every frame) and Config.MaxRounds to algorithms.CollectRetryRoundsCap(n)
 // — the retry budget exceeds the simulator's default guard on small
 // graphs.
-func CollectRetryMDS(fam *mdslb.Family) Algorithm {
-	return Algorithm{
+func CollectRetryMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
+	return AlgorithmOf[*graph.Graph]{
 		Name:  "collect-retry",
 		Exact: true,
 		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.CollectRetryFactory(g, bandwidth, algorithms.CollectSpec{Eval: dominationNumber})
+			factory, _, err := algorithms.CollectRetryFactory(g, bandwidth, algorithms.CollectSpec[*graph.Graph]{Eval: dominationNumber})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -105,7 +108,7 @@ func CollectRetryMDS(fam *mdslb.Family) Algorithm {
 // target. The greedy set can exceed γ(G) on yes-instances, so Certify
 // flags the pairs where the approximation misdecides the exact predicate —
 // the gap the paper's Section 2.1 hardness separates.
-func GreedyMDS(fam *mdslb.Family) Algorithm {
+func GreedyMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 	return collectAlgorithm("greedy", false,
 		func(component *graph.Graph) (int64, error) {
 			set, _, err := algorithms.GreedyMDS(component)
@@ -122,8 +125,8 @@ func GreedyMDS(fam *mdslb.Family) Algorithm {
 // vertices number at most the cover target M. The cover is only a
 // 2-approximation, so yes-instances (τ = M) are routinely misdecided —
 // Certify flags them.
-func MatchingMVC(fam *mvclb.Family) Algorithm {
-	return Algorithm{
+func MatchingMVC(fam *mvclb.Family) AlgorithmOf[*graph.Graph] {
+	return AlgorithmOf[*graph.Graph]{
 		Name:  "matching",
 		Exact: false,
 		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
@@ -142,12 +145,12 @@ func MatchingMVC(fam *mvclb.Family) Algorithm {
 // scaled optimum against the target M — i.e. decide whether the sample has
 // a cut of weight >= p·M. Sampling noise misdecides near-threshold
 // instances, which Certify flags; p = 1 recovers an exact (slow) decision.
-func SampledMaxCut(fam *maxcutlb.Family, p float64) (Algorithm, error) {
+func SampledMaxCut(fam *maxcutlb.Family, p float64) (AlgorithmOf[*graph.Graph], error) {
 	if p <= 0 || p > 1 {
-		return Algorithm{}, fmt.Errorf("sampling probability %v out of (0,1]", p)
+		return AlgorithmOf[*graph.Graph]{}, fmt.Errorf("sampling probability %v out of (0,1]", p)
 	}
 	threshold := int64(math.Ceil(p * float64(fam.Target())))
-	return Algorithm{
+	return AlgorithmOf[*graph.Graph]{
 		Name:  fmt.Sprintf("sampled-maxcut(p=%.2f)", p),
 		Exact: p == 1,
 		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
@@ -160,7 +163,7 @@ func SampledMaxCut(fam *maxcutlb.Family, p float64) (Algorithm, error) {
 				coin := splitmix64(uint64(seed) ^ splitmix64(uint64(u)*uint64(g.N())+uint64(v)))
 				return coin < uint64(p*float64(math.MaxUint64))
 			}
-			spec := algorithms.CollectSpec{
+			spec := algorithms.CollectSpec[*graph.Graph]{
 				Keep: keep,
 				Eval: func(collected *graph.Graph) (int64, error) {
 					ok, err := solver.HasCutOfWeight(collected, threshold)

@@ -1,52 +1,27 @@
 package reduction
 
 import (
-	"congesthard/internal/algorithms"
-	"congesthard/internal/congest"
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/kmdslb"
 	"congesthard/internal/graph"
 	"congesthard/internal/solver"
 )
 
-// This file wires concrete algorithm/family pairings for CertifyDigraph:
-// the exact collect-and-solve upper bound on the directed Hamiltonian path
-// (Theorem 2.2) and directed Steiner (Theorem 4.7) families, and a greedy
-// path-walking heuristic that CertifyDigraph flags as not deciding the
-// predicate.
-
-// diCollectAlgorithm runs the metered directed gossip collect program:
-// eval computes a component-additive quantity at each weak-component root
-// and answer turns the summed total into the predicate decision.
-func diCollectAlgorithm(name string, exact bool, eval func(component *graph.Digraph) (int64, error), answer func(total int64) bool) DigraphAlgorithm {
-	return DigraphAlgorithm{
-		Name:  name,
-		Exact: exact,
-		Prepare: func(d *graph.Digraph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.DiCollectFactory(d, bandwidth, algorithms.DiCollectSpec{Eval: eval})
-			if err != nil {
-				return nil, nil, err
-			}
-			return factory, func(res *congest.Result) (bool, error) {
-				total, err := algorithms.DiCollectTotal(res)
-				if err != nil {
-					return false, err
-				}
-				return answer(total), nil
-			}, nil
-		},
-	}
-}
+// This file wires concrete algorithm/family pairings for Certify on the
+// directed families: the exact collect-and-solve upper bound on the
+// directed Hamiltonian path (Theorem 2.2) and directed Steiner (Theorem
+// 4.7) families, and a greedy path-walking heuristic that Certify flags
+// as not deciding the predicate.
 
 // CollectHamPath decides the Theorem 2.2 predicate exactly: collect the
 // whole digraph and run the exact Hamiltonian path solver at the root. A
 // Hamiltonian path needs every vertex in one weak component, so a
 // component smaller than the instance contributes 0 and the summed total
-// stays 0 — disconnected instances certify exactly. CertifyDigraph
+// stays 0 — disconnected instances certify exactly. Certify
 // reports zero mismatches.
-func CollectHamPath(fam *hamlb.Family) DigraphAlgorithm {
+func CollectHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 	n, start, end := fam.N(), fam.Start(), fam.End()
-	return diCollectAlgorithm("collect", true,
+	return collectAlgorithm("collect", true,
 		func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
@@ -64,11 +39,11 @@ func CollectHamPath(fam *hamlb.Family) DigraphAlgorithm {
 // start: always step to the smallest-id unvisited out-neighbor, answer
 // "yes" iff the walk covers every vertex and halts at end. A found path is
 // a real Hamiltonian path, so mistakes are one-sided "no"s on
-// yes-instances — the heuristic pairing CertifyDigraph flags as not
+// yes-instances — the heuristic pairing Certify flags as not
 // deciding P.
-func GreedyHamPath(fam *hamlb.Family) DigraphAlgorithm {
+func GreedyHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 	n, start, end := fam.N(), fam.Start(), fam.End()
-	return diCollectAlgorithm("greedy-path", false,
+	return collectAlgorithm("greedy-path", false,
 		func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
@@ -112,10 +87,10 @@ func greedyDirectedPathCovers(d *graph.Digraph, start, end int) bool {
 // the whole digraph (arc weights travel in the frames' weight chunks) and
 // decide at the root whether a directed Steiner tree of weight at most 2
 // rooted at R spans all terminals.
-func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) DigraphAlgorithm {
+func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) AlgorithmOf[*graph.Digraph] {
 	n, root := fam.Inner.N(), fam.Inner.Root()
 	terminals := fam.Terminals()
-	return diCollectAlgorithm("collect", true,
+	return collectAlgorithm("collect", true,
 		func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil

@@ -11,24 +11,24 @@ import (
 	"congesthard/internal/comm"
 	"congesthard/internal/congest"
 	"congesthard/internal/faults"
-	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
 	"congesthard/internal/obs"
 )
 
-// Algorithm is a CONGEST algorithm paired with a family predicate: Prepare
-// builds the node programs for one instance graph and an extractor that
-// turns the finished run into the algorithm's yes/no decision for P.
-type Algorithm struct {
+// AlgorithmOf is a CONGEST algorithm paired with a family predicate over
+// the graph kind G: Prepare builds the node programs for one instance and
+// an extractor that turns the finished run into the algorithm's yes/no
+// decision for P.
+type AlgorithmOf[G lbfamily.Instance] struct {
 	// Name identifies the algorithm in reports, e.g. "collect".
 	Name string
 	// Exact declares that the algorithm decides P exactly; Certify flags
 	// the declaration against the measured mismatch count.
 	Exact bool
-	// Prepare is called once per (x, y) pair with the instance graph, the
-	// run's bandwidth and the pair's seed. The returned factory must be
+	// Prepare is called once per (x, y) pair with the instance, the run's
+	// bandwidth and the pair's seed. The returned factory must be
 	// deterministic given (g, seed) — transcript replay re-executes it.
-	Prepare func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error)
+	Prepare func(g G, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error)
 }
 
 // MaxExhaustiveCertifyK is the largest input length K for exhaustive
@@ -36,15 +36,14 @@ type Algorithm struct {
 // worst case at 65536 CONGEST runs. The sharded sweep amortizes that
 // over GOMAXPROCS workers holding reused instances and arenas (per-pair
 // cost is one delta toggle plus one arena-backed run), which is what
-// lifted the cap from the serial era's K = 6. It is shared by Certify
-// and CertifyDigraph; beyond it, set Config.Pairs > 0 for sampled
-// certification, whose cost scales with Pairs/Workers instead of
-// 2^(2K)/Workers.
+// lifted the cap from the serial era's K = 6. It holds for both graph
+// kinds; beyond it, set Config.Pairs > 0 for sampled certification,
+// whose cost scales with Pairs/Workers instead of 2^(2K)/Workers.
 const MaxExhaustiveCertifyK = 8
 
-// Config tunes Certify and CertifyDigraph. The zero value selects the
-// exhaustive sharded sweep: all 2^(2K) pairs, GOMAXPROCS workers, seed 0,
-// the default bandwidth, no faults and no transcript checks.
+// Config tunes Certify. The zero value selects the exhaustive sharded
+// sweep: all 2^(2K) pairs, GOMAXPROCS workers, seed 0, the default
+// bandwidth, no faults and no transcript checks.
 type Config struct {
 	// Pairs is the number of sampled (x, y) pairs; 0 selects exhaustive
 	// certification over all 2^(2K) pairs, which requires
@@ -182,9 +181,11 @@ type Report struct {
 // cfg.Pairs == 0 (K <= MaxExhaustiveCertifyK), sampled otherwise — with
 // the Alice/Bob cut metered, and reports per-pair {rounds, cut traffic,
 // output, correct} plus the aggregate rounds·B·|E_cut| budget against
-// CC(f). The sweep runs on lbfamily's sharded engine: workers
-// (cfg.Workers, GOMAXPROCS by default) claim Gray-code columns; for
-// families implementing lbfamily.DeltaFamily each worker holds a private
+// CC(f). The graph kind G is inferred from the family and the
+// algorithm; on a digraph the cut is the set of arcs between V_A and V_B.
+// The sweep runs on lbfamily's sharded engine: workers (cfg.Workers,
+// GOMAXPROCS by default) claim Gray-code columns; for families
+// implementing lbfamily.DeltaFamilyOf each worker holds a private
 // base instance built once from BuildBase and walks its claimed columns
 // by ApplyBit toggles (Hamming distance 1 between consecutive pairs of a
 // column) with a reused simulator arena, so steady-state allocations per
@@ -192,7 +193,7 @@ type Report struct {
 // scratch. Per-pair seeds are keyed by canonical pair index, so the
 // report is bit-identical to the cfg.Serial reference walk at any worker
 // count.
-func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
+func Certify[G lbfamily.Instance](fam lbfamily.Family[G], alg AlgorithmOf[G], cfg Config) (*Report, error) {
 	return CertifyCtx(context.Background(), fam, alg, cfg)
 }
 
@@ -205,119 +206,58 @@ func Certify(fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
 // the earliest failing (x, y) pair in canonical order, with the report
 // truncated to that pair's prefix exactly as the serial walk would have
 // left it. See Report for the partial-report invariants.
-func CertifyCtx(ctx context.Context, fam lbfamily.Family, alg Algorithm, cfg Config) (*Report, error) {
+func CertifyCtx[G lbfamily.Instance](ctx context.Context, fam lbfamily.Family[G], alg AlgorithmOf[G], cfg Config) (*Report, error) {
 	if alg.Prepare == nil {
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
 	}
-	return certify(ctx, lbfamily.Undirected(fam), alg.Name, alg.Exact, cfg, alg.Prepare)
-}
-
-// pairSim runs an algorithm on one pair's instance g and returns the
-// run's measurements: Rounds, Messages, CutMessages, CutBits and Output.
-type pairSim[G lbfamily.Instance] func(idx int, g G, x, y comm.Bits) (PairReport, error)
-
-// runSpec is what every pair's simulation shares.
-type runSpec struct {
-	cfg       Config
-	bandwidth int
-	side      []bool
-}
-
-// prepareFunc is the Prepare hook of Algorithm (G = *graph.Graph) and
-// DigraphAlgorithm (G = *graph.Digraph).
-type prepareFunc[G lbfamily.Instance] func(g G, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error)
-
-// simulator returns one worker's pairSim over prepare; arena selects a
-// private, reused congest arena.
-func simulator[G lbfamily.Instance](prepare prepareFunc[G], r runSpec, arena bool) pairSim[G] {
-	var a *congest.Arena
-	if arena {
-		a = &congest.Arena{}
-	}
-	return func(idx int, g G, x, y comm.Bits) (PairReport, error) {
-		factory, decide, err := prepare(g, r.bandwidth, pairSeed(r.cfg.Seed, idx))
-		if err != nil {
-			return PairReport{}, fmt.Errorf("prepare (%s,%s): %w", x, y, err)
-		}
-		opts := congest.Options{BandwidthBits: r.bandwidth, MaxRounds: r.cfg.MaxRounds, CutSide: r.side, Faults: r.cfg.Faults, Arena: a}
-		if r.cfg.Trace != nil {
-			opts.Trace = r.cfg.Trace(idx, x, y)
-		}
-		// The transcript-checked pairs are the first TranscriptChecks
-		// canonical indices — a pure function of idx, not of visit order,
-		// so serial and sharded sweeps check (and replay) the same pairs.
-		var res *congest.Result
-		if idx < r.cfg.TranscriptChecks {
-			_, res, err = VerifySimulation(g, r.side, factory, opts)
-		} else {
-			res, err = congest.Run(g, factory, opts)
-		}
-		if err != nil {
-			return PairReport{}, fmt.Errorf("run (%s,%s): %w", x, y, err)
-		}
-		output, err := decide(res)
-		if err != nil {
-			return PairReport{}, fmt.Errorf("decide (%s,%s): %w", x, y, err)
-		}
-		return PairReport{Rounds: res.Rounds, Messages: res.Messages, CutMessages: res.CutMessages, CutBits: res.CutBits, Output: output}, nil
-	}
-}
-
-// certify is the one body behind CertifyCtx and CertifyDigraphCtx: it
-// lays out the pairs, runs them on the sweep engine — sharded, or the
-// cfg.Serial reference walk — with one simulator per worker, and
-// resolves the outcome into the report/error contract.
-func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], alg string, exact bool, cfg Config, prepare prepareFunc[G]) (*Report, error) {
-	side, err := fam.Side()
+	side, err := lbfamily.AliceSide(fam)
 	if err != nil {
 		return nil, fmt.Errorf("alice side: %w", err)
 	}
-	stats, err := fam.Stats()
+	stats, err := lbfamily.MeasureStats(fam)
 	if err != nil {
 		return nil, err
-	}
-	if len(side) != stats.N {
-		return nil, fmt.Errorf("AliceSide has %d entries for %d vertices", len(side), stats.N)
 	}
 	bandwidth := cfg.Bandwidth
 	if bandwidth == 0 {
 		bandwidth = congest.DefaultBandwidth(stats.N)
 	}
-	xs, ys, exhaustive, err := certifyPairs(fam.K, cfg)
+	k := fam.K()
+	xs, ys, exhaustive, err := certifyPairs(k, cfg)
 	if err != nil {
 		return nil, err
 	}
 	report := &Report{
-		Family:     fam.Name,
-		Algorithm:  alg,
-		Exact:      exact,
+		Family:     fam.Name(),
+		Algorithm:  alg.Name,
+		Exact:      alg.Exact,
 		Exhaustive: exhaustive,
 		Stats:      stats,
 		Bandwidth:  bandwidth,
 		Pairs:      make([]PairReport, len(xs)),
 		Total:      len(xs),
 	}
-	f := fam.Func
+	f := fam.Func()
 
 	// A column is a fixed-y block of 2^K consecutive canonical indices
 	// for exhaustive sweeps (certifyPairs lays the cube out y-major in
 	// Gray order) and a single pair for sampled ones.
 	colLen := 1
 	if exhaustive {
-		colLen = len(xs) >> uint(fam.K)
+		colLen = len(xs) >> uint(k)
 	}
 	// The Progress hook contract: serialized calls, strictly increasing
 	// completed counts. The mutex covers both the increment and the call.
 	var mu sync.Mutex
 	completed := 0
 	sw := lbfamily.Sweep[G]{
-		Cols: len(xs) / colLen, ColLen: colLen, K: fam.K, Workers: cfg.Workers, Build: fam.Build,
+		Cols: len(xs) / colLen, ColLen: colLen, K: k, Workers: cfg.Workers, Build: fam.Build,
 		Pair: func(c, i int) (int, comm.Bits, comm.Bits) {
 			idx := c*colLen + i
 			return idx, xs[idx], ys[idx]
 		},
 		Worker: func(G) lbfamily.Step[G] {
-			sim := simulator(prepare, runSpec{cfg: cfg, bandwidth: bandwidth, side: side}, !cfg.Serial)
+			sim := simulator(alg, runSpec{cfg: cfg, bandwidth: bandwidth, side: side}, !cfg.Serial)
 			return func(idx int, g G, x, y comm.Bits) error {
 				var started time.Time
 				if cfg.Metrics != nil {
@@ -343,8 +283,8 @@ func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], 
 			}
 		},
 	}
-	if fam.BuildBase != nil && !cfg.ForceRebuild {
-		sw.BuildBase, sw.ApplyBit = fam.BuildBase, fam.ApplyBit
+	if df, ok := fam.(lbfamily.DeltaFamilyOf[G]); ok && !cfg.ForceRebuild {
+		sw.BuildBase, sw.ApplyBit = df.BuildBase, df.ApplyBit
 	}
 	if cfg.Serial {
 		done, err := sw.Serial(ctx)
@@ -360,6 +300,53 @@ func certify[G lbfamily.Instance](ctx context.Context, fam lbfamily.Surface[G], 
 		return nil, err
 	}
 	return resolveSweep(report, status, ctx.Err(), f)
+}
+
+// pairSim runs an algorithm on one pair's instance g and returns the
+// run's measurements: Rounds, Messages, CutMessages, CutBits and Output.
+type pairSim[G lbfamily.Instance] func(idx int, g G, x, y comm.Bits) (PairReport, error)
+
+// runSpec is what every pair's simulation shares.
+type runSpec struct {
+	cfg       Config
+	bandwidth int
+	side      []bool
+}
+
+// simulator returns one worker's pairSim over alg; arena selects a
+// private, reused congest arena.
+func simulator[G lbfamily.Instance](alg AlgorithmOf[G], r runSpec, arena bool) pairSim[G] {
+	var a *congest.Arena
+	if arena {
+		a = &congest.Arena{}
+	}
+	return func(idx int, g G, x, y comm.Bits) (PairReport, error) {
+		factory, decide, err := alg.Prepare(g, r.bandwidth, pairSeed(r.cfg.Seed, idx))
+		if err != nil {
+			return PairReport{}, fmt.Errorf("prepare (%s,%s): %w", x, y, err)
+		}
+		opts := congest.Options{BandwidthBits: r.bandwidth, MaxRounds: r.cfg.MaxRounds, CutSide: r.side, Faults: r.cfg.Faults, Arena: a}
+		if r.cfg.Trace != nil {
+			opts.Trace = r.cfg.Trace(idx, x, y)
+		}
+		// The transcript-checked pairs are the first TranscriptChecks
+		// canonical indices — a pure function of idx, not of visit order,
+		// so serial and sharded sweeps check (and replay) the same pairs.
+		var res *congest.Result
+		if idx < r.cfg.TranscriptChecks {
+			_, res, err = VerifySimulation(g, r.side, factory, opts)
+		} else {
+			res, err = congest.Run(g, factory, opts)
+		}
+		if err != nil {
+			return PairReport{}, fmt.Errorf("run (%s,%s): %w", x, y, err)
+		}
+		output, err := decide(res)
+		if err != nil {
+			return PairReport{}, fmt.Errorf("decide (%s,%s): %w", x, y, err)
+		}
+		return PairReport{Rounds: res.Rounds, Messages: res.Messages, CutMessages: res.CutMessages, CutBits: res.CutBits, Output: output}, nil
+	}
 }
 
 // partialReport resolves an interrupted sweep: cancellations and confined
@@ -413,8 +400,8 @@ func resolveSweep(report *Report, status []lbfamily.PairStatus, ctxErr error, f 
 
 // finalize computes the aggregate Theorem 1.1 accounting from the
 // recorded pairs: mismatch count, worst rounds/cut-bits, the
-// 2·T·B·|E_cut| simulation budget and the known CC(f) bound. Shared by
-// Certify and CertifyDigraph — the accounting is graph-kind agnostic.
+// 2·T·B·|E_cut| simulation budget and the known CC(f) bound. The
+// accounting is the same for both graph kinds.
 func (r *Report) finalize(f comm.Function) {
 	for i := range r.Pairs {
 		p := &r.Pairs[i]

@@ -2,13 +2,17 @@ package reduction
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"congesthard/internal/comm"
+	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/maxcutlb"
 	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/constructions/mvclb"
+	"congesthard/internal/graph"
+	"congesthard/internal/lbfamily"
 )
 
 func mdsFam(t *testing.T) *mdslb.Family {
@@ -246,4 +250,41 @@ func TestCheckBoundFlagsTheorem11Violations(t *testing.T) {
 			t.Errorf("%s: checkBound = %v, want nil", name, err)
 		}
 	}
+}
+
+// shortSide truncates a family's Alice side to three entries.
+type shortSide[G lbfamily.Instance] struct{ lbfamily.Family[G] }
+
+func (s shortSide[G]) AliceSide() []bool { return s.Family.AliceSide()[:3] }
+
+// checkShortSide asserts that Certify, MeasureStats and Verify reject a
+// wrong-length Alice side with the same error instead of cutting with it.
+func checkShortSide[G lbfamily.Instance](t *testing.T, fam lbfamily.Family[G], alg AlgorithmOf[G]) {
+	t.Helper()
+	zero := comm.NewBits(fam.K())
+	g, err := fam.Build(zero, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("AliceSide has 3 entries for %d vertices", g.N())
+	short := shortSide[G]{fam}
+	if _, err := Certify[G](short, alg, Config{Pairs: 2}); err == nil || err.Error() != want {
+		t.Errorf("Certify: err = %v, want %q", err, want)
+	}
+	if _, err := lbfamily.MeasureStats[G](short); err == nil || err.Error() != want {
+		t.Errorf("MeasureStats: err = %v, want %q", err, want)
+	}
+	if err := lbfamily.Verify[G](short); err == nil || err.Error() != want {
+		t.Errorf("Verify: err = %v, want %q", err, want)
+	}
+}
+
+func TestWrongLengthAliceSideIsAnError(t *testing.T) {
+	mds := mdsFam(t)
+	checkShortSide[*graph.Graph](t, mds, CollectMDS(mds))
+	ham, err := hamlb.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShortSide[*graph.Digraph](t, ham, CollectHamPath(ham))
 }

@@ -17,7 +17,7 @@ import (
 // retryConfig returns a certification config sized for collect-retry on
 // fam: the bandwidth carries the three ARQ header bits and the round
 // guard admits the retry budget.
-func retryConfig(t *testing.T, fam lbfamily.Family, cfg Config) Config {
+func retryConfig(t *testing.T, fam lbfamily.Family[*graph.Graph], cfg Config) Config {
 	t.Helper()
 	stats, err := lbfamily.MeasureStats(fam)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestCertifyTranscriptChecksUnderFaults(t *testing.T) {
 
 // cancelAfterPrepares wraps alg so that cancel fires during the n-th
 // per-pair Prepare call, making the cancellation point deterministic.
-func cancelAfterPrepares(alg Algorithm, n int, cancel context.CancelFunc) Algorithm {
+func cancelAfterPrepares(alg AlgorithmOf[*graph.Graph], n int, cancel context.CancelFunc) AlgorithmOf[*graph.Graph] {
 	inner := alg.Prepare
 	calls := 0
 	alg.Prepare = func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
@@ -226,11 +226,11 @@ func TestCertifyDigraphCtxCancelReturnsPartialReport(t *testing.T) {
 		}
 		return inner(d, bandwidth, seed)
 	}
-	rep, err := CertifyDigraphCtx(ctx, fam, alg, Config{Seed: 1, Serial: true})
+	rep, err := CertifyCtx(ctx, fam, alg, Config{Seed: 1, Serial: true})
 
 	var cerr *lbfamily.CancelledError
 	if !errors.As(err, &cerr) {
-		t.Fatalf("CertifyDigraphCtx returned %v, want *lbfamily.CancelledError", err)
+		t.Fatalf("CertifyCtx returned %v, want *lbfamily.CancelledError", err)
 	}
 	if rep == nil || rep.Completed != 4 || len(rep.Pairs) != 4 || rep.Total != 256 {
 		t.Fatalf("partial digraph report wrong: %+v (err %v)", rep, err)
@@ -249,7 +249,7 @@ func TestCertifyDigraphFaultsReplayStable(t *testing.T) {
 	// run failure — it does identically on every run.
 	fam := hamFam(t)
 	run := func() (*Report, error) {
-		return CertifyDigraph(fam, CollectHamPath(fam), Config{
+		return Certify(fam, CollectHamPath(fam), Config{
 			Seed:   9,
 			Pairs:  8,
 			Faults: &faults.Plan{Seed: 4, DropProb: 0.02},

@@ -92,14 +92,14 @@ func TestCertifyDigraphShardedMatchesSerial(t *testing.T) {
 	for _, tc := range configs {
 		serialCfg := tc.cfg
 		serialCfg.Serial = true
-		want, err := CertifyDigraph(fam, alg, serialCfg)
+		want, err := Certify(fam, alg, serialCfg)
 		if err != nil {
 			t.Fatalf("%s: serial reference failed: %v", tc.name, err)
 		}
 		for _, workers := range []int{1, 4, 0} {
 			cfg := tc.cfg
 			cfg.Workers = workers
-			got, err := CertifyDigraph(fam, alg, cfg)
+			got, err := Certify(fam, alg, cfg)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: sharded sweep failed: %v", tc.name, workers, err)
 			}
@@ -112,7 +112,7 @@ func TestCertifyDigraphShardedMatchesSerial(t *testing.T) {
 // received, keyed by the instance graph's structural hash. The per-pair
 // seed contract says the map must not depend on visit order or worker
 // count.
-func seedRecordingAlg(alg Algorithm, mu *sync.Mutex, seeds map[uint64]int64) Algorithm {
+func seedRecordingAlg(alg AlgorithmOf[*graph.Graph], mu *sync.Mutex, seeds map[uint64]int64) AlgorithmOf[*graph.Graph] {
 	inner := alg.Prepare
 	alg.Prepare = func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
 		within := make([]bool, g.N())
@@ -212,7 +212,7 @@ func TestCertifyShardedPanicNamesCanonicalFirstPair(t *testing.T) {
 	fam := mdsFam(t)
 	const seed = 1
 	bad := map[int64]bool{pairSeed(seed, 37): true, pairSeed(seed, 200): true}
-	withPanics := func() Algorithm {
+	withPanics := func() AlgorithmOf[*graph.Graph] {
 		alg := CollectMDS(fam)
 		inner := alg.Prepare
 		alg.Prepare = func(g *graph.Graph, bandwidth int, seedIn int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
@@ -294,10 +294,10 @@ func TestCertifyDigraphShardedCancelConsistent(t *testing.T) {
 			cancel()
 		}
 	}}
-	rep, err := CertifyDigraphCtx(ctx, fam, CollectHamPath(fam), cfg)
+	rep, err := CertifyCtx(ctx, fam, CollectHamPath(fam), cfg)
 	var cerr *lbfamily.CancelledError
 	if !errors.As(err, &cerr) {
-		t.Fatalf("CertifyDigraphCtx returned %v, want *lbfamily.CancelledError", err)
+		t.Fatalf("CertifyCtx returned %v, want *lbfamily.CancelledError", err)
 	}
 	if rep == nil || rep.Completed != len(rep.Pairs) || cerr.Completed != rep.Completed || cerr.Total != rep.Total {
 		t.Fatalf("inconsistent partial digraph report: %+v (err %+v)", rep, cerr)

@@ -107,7 +107,7 @@ func TestCertifyConfinesBuildAndApplyBitPanics(t *testing.T) {
 				if !tc.apply {
 					fam.bad, cfg.ForceRebuild = bad, true
 				}
-				return CertifyDigraph(fam, CollectHamPath(ham), cfg)
+				return Certify(fam, CollectHamPath(ham), cfg)
 			},
 		}
 		for kind, run := range runs {

@@ -12,10 +12,10 @@
 //     by replay stubs) must reproduce her outputs and outgoing messages
 //     exactly, because her view is a deterministic function of her side of
 //     the graph plus the transcript;
-//   - Certify (CertifyDigraph for directed families): run an algorithm
-//     over sampled or exhaustive (x, y) pairs of a lower-bound family, reporting per-pair rounds, cut traffic and
-//     output correctness, and the aggregate rounds·B·|E_cut| budget against
-//     the communication complexity of f.
+//   - Certify: run an algorithm over sampled or exhaustive (x, y) pairs of
+//     a lower-bound family, undirected or directed, reporting per-pair
+//     rounds, cut traffic and output correctness, and the aggregate
+//     rounds·B·|E_cut| budget against the communication complexity of f.
 package reduction
 
 import (

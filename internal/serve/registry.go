@@ -34,14 +34,15 @@ import (
 	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/constructions/mvclb"
 	"congesthard/internal/cover"
+	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
 	"congesthard/internal/reduction"
 )
 
 // Runner executes one certification job: a family/algorithm pairing bound
 // to a built family instance, runnable many times (and concurrently) with
-// different configs. Undirected pairings delegate to reduction.CertifyCtx,
-// directed ones to reduction.CertifyDigraphCtx; the report shape is shared.
+// different configs. Pairings of both graph kinds delegate to
+// reduction.CertifyCtx.
 type Runner func(ctx context.Context, cfg reduction.Config) (*reduction.Report, error)
 
 // Pairing is one wired family/algorithm pairing: identity, its fixed
@@ -59,7 +60,8 @@ type Pairing struct {
 	// collection search for the Section 4 families); it is part of the
 	// cache key because different seeds build different instances.
 	BuildSeed int64
-	// Directed marks pairings whose instances are digraphs.
+	// Directed marks pairings whose instances are digraphs; certifier
+	// sets it from the family's graph kind.
 	Directed bool
 	// Exact mirrors the algorithm's exactness declaration.
 	Exact bool
@@ -130,9 +132,12 @@ func (r *Registry) mustRegister(p Pairing) {
 	}
 }
 
-// undirected adapts a Family + Algorithm builder to a Runner builder.
-func undirected(build func() (lbfamily.Family, reduction.Algorithm, error)) func() (Runner, error) {
-	return func() (Runner, error) {
+// certifier returns p with a Build whose Runner certifies the family
+// and algorithm that build wires, on either graph kind, and with Directed
+// set from that kind.
+func certifier[G lbfamily.Instance](p Pairing, build func() (lbfamily.Family[G], reduction.AlgorithmOf[G], error)) Pairing {
+	p.Directed = lbfamily.IsDigraph[G]()
+	p.Build = func() (Runner, error) {
 		fam, alg, err := build()
 		if err != nil {
 			return nil, err
@@ -141,19 +146,7 @@ func undirected(build func() (lbfamily.Family, reduction.Algorithm, error)) func
 			return reduction.CertifyCtx(ctx, fam, alg, cfg)
 		}, nil
 	}
-}
-
-// directed adapts a DigraphFamily + DigraphAlgorithm builder.
-func directed(build func() (lbfamily.DigraphFamily, reduction.DigraphAlgorithm, error)) func() (Runner, error) {
-	return func() (Runner, error) {
-		fam, alg, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, cfg reduction.Config) (*reduction.Report, error) {
-			return reduction.CertifyDigraphCtx(ctx, fam, alg, cfg)
-		}, nil
-	}
+	return p
 }
 
 // coverSeed seeds the randomized r-covering collection search behind the
@@ -167,26 +160,22 @@ const coverSeed = 7
 // resolve pairings from it.
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
-	r.mustRegister(Pairing{
-		Family: "mds", Alg: "collect", Params: "k=2", Exact: true,
-		Build: undirected(func() (lbfamily.Family, reduction.Algorithm, error) {
+	r.mustRegister(certifier(Pairing{Family: "mds", Alg: "collect", Params: "k=2", Exact: true},
+		func() (lbfamily.Family[*graph.Graph], reduction.AlgorithmOf[*graph.Graph], error) {
 			fam, err := mdslb.New(2)
 			if err != nil {
-				return nil, reduction.Algorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Graph]{}, err
 			}
 			return fam, reduction.CollectMDS(fam), nil
-		}),
-	})
-	r.mustRegister(Pairing{
-		Family: "mds", Alg: "greedy", Params: "k=2",
-		Build: undirected(func() (lbfamily.Family, reduction.Algorithm, error) {
+		}))
+	r.mustRegister(certifier(Pairing{Family: "mds", Alg: "greedy", Params: "k=2"},
+		func() (lbfamily.Family[*graph.Graph], reduction.AlgorithmOf[*graph.Graph], error) {
 			fam, err := mdslb.New(2)
 			if err != nil {
-				return nil, reduction.Algorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Graph]{}, err
 			}
 			return fam, reduction.GreedyMDS(fam), nil
-		}),
-	})
+		}))
 	// collect-retry needs a wider bandwidth (three ARQ header bits per
 	// frame) and a larger round guard than the defaults, so its Runner
 	// sizes the config from the family stats before certifying.
@@ -213,72 +202,59 @@ func DefaultRegistry() *Registry {
 			}, nil
 		},
 	})
-	r.mustRegister(Pairing{
-		Family: "mvc", Alg: "matching", Params: "k=2",
-		Build: undirected(func() (lbfamily.Family, reduction.Algorithm, error) {
+	r.mustRegister(certifier(Pairing{Family: "mvc", Alg: "matching", Params: "k=2"},
+		func() (lbfamily.Family[*graph.Graph], reduction.AlgorithmOf[*graph.Graph], error) {
 			fam, err := mvclb.New(2)
 			if err != nil {
-				return nil, reduction.Algorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Graph]{}, err
 			}
 			return fam, reduction.MatchingMVC(fam), nil
-		}),
-	})
-	r.mustRegister(Pairing{
-		Family: "maxcut", Alg: "sampled", Params: "k=2,p=0.5",
-		Build: undirected(func() (lbfamily.Family, reduction.Algorithm, error) {
+		}))
+	r.mustRegister(certifier(Pairing{Family: "maxcut", Alg: "sampled", Params: "k=2,p=0.5"},
+		func() (lbfamily.Family[*graph.Graph], reduction.AlgorithmOf[*graph.Graph], error) {
 			fam, err := maxcutlb.New(2)
 			if err != nil {
-				return nil, reduction.Algorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Graph]{}, err
 			}
 			a, err := reduction.SampledMaxCut(fam, 0.5)
 			return fam, a, err
-		}),
-	})
-	r.mustRegister(Pairing{
-		Family: "maxcut", Alg: "exact", Params: "k=2,p=1", Exact: true,
-		Build: undirected(func() (lbfamily.Family, reduction.Algorithm, error) {
+		}))
+	r.mustRegister(certifier(Pairing{Family: "maxcut", Alg: "exact", Params: "k=2,p=1", Exact: true},
+		func() (lbfamily.Family[*graph.Graph], reduction.AlgorithmOf[*graph.Graph], error) {
 			fam, err := maxcutlb.New(2)
 			if err != nil {
-				return nil, reduction.Algorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Graph]{}, err
 			}
 			a, err := reduction.SampledMaxCut(fam, 1)
 			return fam, a, err
-		}),
-	})
-	r.mustRegister(Pairing{
-		Family: "hamlb", Alg: "collect", Params: "k=2", Directed: true, Exact: true,
-		Build: directed(func() (lbfamily.DigraphFamily, reduction.DigraphAlgorithm, error) {
+		}))
+	r.mustRegister(certifier(Pairing{Family: "hamlb", Alg: "collect", Params: "k=2", Exact: true},
+		func() (lbfamily.Family[*graph.Digraph], reduction.AlgorithmOf[*graph.Digraph], error) {
 			fam, err := hamlb.New(2)
 			if err != nil {
-				return nil, reduction.DigraphAlgorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Digraph]{}, err
 			}
 			return fam, reduction.CollectHamPath(fam), nil
-		}),
-	})
-	r.mustRegister(Pairing{
-		Family: "hamlb", Alg: "greedy-path", Params: "k=2", Directed: true,
-		Build: directed(func() (lbfamily.DigraphFamily, reduction.DigraphAlgorithm, error) {
+		}))
+	r.mustRegister(certifier(Pairing{Family: "hamlb", Alg: "greedy-path", Params: "k=2"},
+		func() (lbfamily.Family[*graph.Digraph], reduction.AlgorithmOf[*graph.Digraph], error) {
 			fam, err := hamlb.New(2)
 			if err != nil {
-				return nil, reduction.DigraphAlgorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Digraph]{}, err
 			}
 			return fam, reduction.GreedyHamPath(fam), nil
-		}),
-	})
-	r.mustRegister(Pairing{
-		Family: "dir-steiner", Alg: "collect", Params: "T=4,L=12,r=2", BuildSeed: coverSeed,
-		Directed: true, Exact: true,
-		Build: directed(func() (lbfamily.DigraphFamily, reduction.DigraphAlgorithm, error) {
+		}))
+	r.mustRegister(certifier(Pairing{Family: "dir-steiner", Alg: "collect", Params: "T=4,L=12,r=2", BuildSeed: coverSeed, Exact: true},
+		func() (lbfamily.Family[*graph.Digraph], reduction.AlgorithmOf[*graph.Digraph], error) {
 			c, err := cover.Find(4, 12, 2, coverSeed, 500)
 			if err != nil {
-				return nil, reduction.DigraphAlgorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Digraph]{}, err
 			}
 			fam, err := kmdslb.NewDirSteiner(kmdslb.Params{Collection: c, R: 2})
 			if err != nil {
-				return nil, reduction.DigraphAlgorithm{}, err
+				return nil, reduction.AlgorithmOf[*graph.Digraph]{}, err
 			}
 			return fam, reduction.CollectDirSteiner(fam), nil
-		}),
-	})
+		}))
 	return r
 }

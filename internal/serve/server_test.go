@@ -65,7 +65,7 @@ func panicPairing() serve.Pairing {
 			if err != nil {
 				return nil, err
 			}
-			alg := reduction.Algorithm{
+			alg := reduction.AlgorithmOf[*graph.Graph]{
 				Name: "panic",
 				Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
 					panic("chaos monkey in the predicate")
