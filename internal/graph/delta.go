@@ -2,13 +2,15 @@ package graph
 
 import "fmt"
 
-// EdgeDelta records one edge mutation: the edge {U, V} (canonical U < V)
-// either became present with weight W (Add) or was removed while carrying
-// weight W (!Add). A weight change is recorded as a remove of the old
-// weight followed by an add of the new one. Deltas are the currency of the
-// incremental observers built on top of the graph: the lower-bound-family
-// verifier folds them into its structural hashes in O(1) per delta instead
-// of rehashing the whole graph per input pair.
+// EdgeDelta records one edge mutation: the edge {U, V} either became
+// present with weight W (Add) or was removed while carrying weight W
+// (!Add). On a Graph the edge is canonical (U < V); on a Digraph it is the
+// arc U→V, direction included, as CSR.Edges renders arcs. A weight change
+// is recorded as a remove of the old weight followed by an add of the new
+// one. Deltas are the currency of the incremental observers built on top
+// of the graph: the lower-bound-family verifier folds them into its
+// structural hashes in O(1) per delta instead of rehashing the whole graph
+// per input pair.
 type EdgeDelta struct {
 	U, V int
 	W    int64
@@ -33,128 +35,141 @@ type vwChange struct {
 	from int64
 }
 
-// StartJournal begins recording edge mutations (ToggleEdge, SetEdgeWeight,
-// AddEdge variants) and vertex-weight mutations (SetVertexWeight) into
-// internal journals readable via Journal and VertexJournal. Vertex
-// additions (AddVertex) are not journaled; incremental observers require a
-// fixed vertex set, which is exactly the Definition 1.1 condition 1 the
-// verifier's families guarantee.
-func (g *Graph) StartJournal() {
-	g.journalOn = true
-	g.journal = g.journal[:0]
-	g.vwJournal = g.vwJournal[:0]
+// mutlog is the mutation log both graph kinds embed, together with the
+// state it records edits of: adj (a Graph's neighbor lists, a Digraph's
+// out-lists) and the vertex weights. It owns the journals, the undo log,
+// the patchable snapshot and the fold into SideHashes; the one thing that
+// differs by kind is the directed bit, which picks oriented arcs hashed by
+// ArcHash over canonical u < v edges hashed by EdgeHash. The adjacency
+// edit of a toggle stays with each kind (Graph.toggle, Digraph.toggle).
+type mutlog struct {
+	adj      [][]Half
+	vw       []int64
+	directed bool
+
+	// patched is the worker-private FreezePatchable snapshot, spliced in
+	// place by the toggles and dropped by other adjacency mutators.
+	patched    *CSR
+	patchSlack int
+
+	// Vertex-weight mutations are journaled separately from edge
+	// mutations (vwJournal / vwUndo) because they fold into different
+	// structural hashes.
+	journal   []EdgeDelta
+	journalOn bool
+	undo      []EdgeDelta
+	undoOn    bool
+	vwJournal []VertexDelta
+	vwUndo    []vwChange
+}
+
+// StartJournal begins recording edge mutations (ToggleEdge, ToggleArc,
+// SetEdgeWeight, the AddEdge and AddArc variants) and vertex-weight
+// mutations (SetVertexWeight) into internal journals readable via Journal
+// and VertexJournal. Vertex additions (AddVertex) are not journaled;
+// incremental observers require a fixed vertex set, which is exactly the
+// Definition 1.1 condition 1 the verifier's families guarantee.
+func (m *mutlog) StartJournal() {
+	m.journalOn = true
+	m.ClearJournal()
 }
 
 // Journal returns the edge mutations recorded since the last ClearJournal
 // (or StartJournal). The slice is internal storage: read it, then
 // ClearJournal.
-func (g *Graph) Journal() []EdgeDelta { return g.journal }
+func (m *mutlog) Journal() []EdgeDelta { return m.journal }
 
 // VertexJournal returns the vertex-weight mutations recorded since the
 // last ClearJournal (or StartJournal); internal storage, like Journal.
-func (g *Graph) VertexJournal() []VertexDelta { return g.vwJournal }
+func (m *mutlog) VertexJournal() []VertexDelta { return m.vwJournal }
 
 // ClearJournal drops the recorded mutations while keeping recording on.
-func (g *Graph) ClearJournal() {
-	g.journal = g.journal[:0]
-	g.vwJournal = g.vwJournal[:0]
+func (m *mutlog) ClearJournal() {
+	m.journal = m.journal[:0]
+	m.vwJournal = m.vwJournal[:0]
 }
 
 // StopJournal stops recording and drops the journals.
-func (g *Graph) StopJournal() {
-	g.journalOn = false
-	g.journal = nil
-	g.vwJournal = nil
+func (m *mutlog) StopJournal() {
+	m.journalOn = false
+	m.journal = nil
+	m.vwJournal = nil
 }
 
 // setVW applies a vertex-weight change, journaling it as a remove/add
 // pair and logging the prior weight for Reset. Equal-weight sets are
 // no-ops so journals only carry real deltas.
-func (g *Graph) setVW(v int, w int64, logUndo bool) {
-	old := g.vw[v]
+func (m *mutlog) setVW(v int, w int64, logUndo bool) {
+	old := m.vw[v]
 	if old == w {
 		return
 	}
-	g.vw[v] = w
-	if g.journalOn {
-		g.vwJournal = append(g.vwJournal,
+	m.vw[v] = w
+	if m.journalOn {
+		m.vwJournal = append(m.vwJournal,
 			VertexDelta{V: v, W: old, Add: false},
 			VertexDelta{V: v, W: w, Add: true})
 	}
-	if g.undoOn && logUndo {
-		g.vwUndo = append(g.vwUndo, vwChange{v: v, from: old})
+	if m.undoOn && logUndo {
+		m.vwUndo = append(m.vwUndo, vwChange{v: v, from: old})
 	}
 }
 
 // record logs one edge mutation into the journal and undo log.
-func (g *Graph) record(u, v int, w int64, add, logUndo bool) {
-	if !g.journalOn && !(g.undoOn && logUndo) {
+func (m *mutlog) record(u, v int, w int64, add, logUndo bool) {
+	if !m.journalOn && !(m.undoOn && logUndo) {
 		return
 	}
-	if u > v {
+	if !m.directed && u > v {
 		u, v = v, u
 	}
 	d := EdgeDelta{U: u, V: v, W: w, Add: add}
-	if g.journalOn {
-		g.journal = append(g.journal, d)
+	if m.journalOn {
+		m.journal = append(m.journal, d)
 	}
-	if g.undoOn && logUndo {
-		g.undo = append(g.undo, d)
+	if m.undoOn && logUndo {
+		m.undo = append(m.undo, d)
 	}
 }
 
-// ToggleEdge adds the edge {u, v} with weight w if it is absent and removes
-// it (ignoring w) if it is present, reporting whether the edge is present
-// after the call. This is the verifier's delta primitive: unlike
-// AddEdge/SetEdgeWeight it keeps a patchable Freeze snapshot (see
-// FreezePatchable) valid by splicing the affected CSR windows in place,
-// O(deg) per endpoint, instead of discarding the snapshot.
-//
-//hardness:hotpath
-func (g *Graph) ToggleEdge(u, v int, w int64) (added bool, err error) {
-	return g.toggle(u, v, w, true)
+// regrow rebuilds the patchable snapshot with doubled slack after an
+// insert found its window full. Amortized O(1) per toggle — the
+// verifier's walks revisit the same bounded degree range, so rebuilds stop
+// once the peak degree has been seen.
+func (m *mutlog) regrow() {
+	m.patchSlack *= 2
+	m.patched = m.buildPatchable()
 }
 
-func (g *Graph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
-	if err := g.checkVertex(u); err != nil {
-		return false, err
+// buildPatchable builds a snapshot whose windows carry patchSlack spare
+// slots, so in-place insertion does not overflow immediately. The edge
+// list is left stale and rebuilt lazily by Edges.
+func (m *mutlog) buildPatchable() *CSR {
+	c := fillCSR(&CSR{directed: m.directed}, m.adj, m.patchSlack)
+	c.edgesStale = true
+	return c
+}
+
+// find validates the endpoints of a toggle and returns v's position in
+// u's adjacency list, or -1 when the edge (or arc) is absent.
+func (m *mutlog) find(u, v int) (int, error) {
+	if err := m.checkVertex(u); err != nil {
+		return -1, err
 	}
-	if err := g.checkVertex(v); err != nil {
-		return false, err
+	if err := m.checkVertex(v); err != nil {
+		return -1, err
 	}
 	if u == v {
-		return false, fmt.Errorf("self loop at vertex %d", u)
+		return -1, fmt.Errorf("self loop at vertex %d", u)
 	}
-	if i := halfIndex(g.adj[u], v); i >= 0 {
-		oldW := g.adj[u][i].Weight
-		g.removeHalf(u, i)
-		g.removeHalf(v, halfIndex(g.adj[v], u))
-		g.csr.Store(nil)
-		if g.patched != nil {
-			g.patched.spliceRemove(u, v)
-			g.patched.spliceRemove(v, u)
-			g.patched.edgesStale = true
-		}
-		g.record(u, v, oldW, false, logUndo)
-		return false, nil
+	return halfIndex(m.adj[u], v), nil
+}
+
+func (m *mutlog) checkVertex(v int) error {
+	if v < 0 || v >= len(m.adj) {
+		return fmt.Errorf("vertex %d out of range [0,%d)", v, len(m.adj))
 	}
-	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
-	g.csr.Store(nil)
-	if g.patched != nil {
-		if !g.patched.spliceInsert(u, v, w) || !g.patched.spliceInsert(v, u, w) {
-			// A window ran out of slack: rebuild the patchable snapshot with
-			// doubled slack. Amortized O(1) per toggle — the verifier's walks
-			// revisit the same bounded degree range, so rebuilds stop once the
-			// peak degree has been seen.
-			g.patchSlack *= 2
-			g.patched = buildCSRSlack(g, g.patchSlack)
-		} else {
-			g.patched.edgesStale = true
-		}
-	}
-	g.record(u, v, w, true, logUndo)
-	return true, nil
+	return nil
 }
 
 // halfIndex returns the position of neighbor v in the adjacency list, or -1.
@@ -167,60 +182,97 @@ func halfIndex(nbrs []Half, v int) int {
 	return -1
 }
 
-// removeHalf deletes entry i of u's adjacency list, preserving order.
-func (g *Graph) removeHalf(u, i int) {
-	g.adj[u] = removeHalfAt(g.adj[u], i)
+// removeHalfAt deletes entry i of an adjacency list, preserving order.
+func removeHalfAt(nbrs []Half, i int) []Half {
+	copy(nbrs[i:], nbrs[i+1:])
+	return nbrs[:len(nbrs)-1]
 }
 
 // MarkBase records the current edge set and vertex weights as the base
-// state: subsequent ToggleEdge/SetEdgeWeight/SetVertexWeight mutations are
-// logged so Reset can replay them in reverse. Calling MarkBase again moves
-// the base to the current state.
-func (g *Graph) MarkBase() {
-	g.undoOn = true
-	g.undo = g.undo[:0]
-	g.vwUndo = g.vwUndo[:0]
+// state: subsequent toggles, SetEdgeWeight and SetVertexWeight mutations
+// are logged so Reset can replay them in reverse. Calling MarkBase again
+// moves the base to the current state.
+func (m *mutlog) MarkBase() {
+	m.undoOn = true
+	m.undo = m.undo[:0]
+	m.vwUndo = m.vwUndo[:0]
 }
 
-// Reset restores the graph to the MarkBase state by undoing the logged
-// mutations most recent first — O(delta) work, not O(|V|+|E|) — keeping any
-// patchable snapshot valid and emitting the reverting mutations to the
-// journal so incremental observers stay consistent. It is a no-op without a
-// preceding MarkBase.
-func (g *Graph) Reset() error {
-	for i := len(g.undo) - 1; i >= 0; i-- {
-		d := g.undo[i]
-		nowPresent, err := g.toggle(d.U, d.V, d.W, false)
+// reset replays the undo log through the kind's unlogged toggle.
+func (m *mutlog) reset(toggle func(u, v int, w int64, logUndo bool) (bool, error)) error {
+	for i := len(m.undo) - 1; i >= 0; i-- {
+		d := m.undo[i]
+		nowPresent, err := toggle(d.U, d.V, d.W, false)
 		if err != nil {
 			return err
 		}
 		if nowPresent == d.Add {
-			return fmt.Errorf("reset out of sync at edge {%d,%d}", d.U, d.V)
+			return fmt.Errorf("reset out of sync at %d-%d", d.U, d.V)
 		}
 	}
-	g.undo = g.undo[:0]
+	m.undo = m.undo[:0]
 	// Vertex weights are independent of the edge set, so the two undo
 	// streams replay separately; most-recent-first restores the weight a
 	// vertex carried at MarkBase even after repeated changes.
-	for i := len(g.vwUndo) - 1; i >= 0; i-- {
-		g.setVW(g.vwUndo[i].v, g.vwUndo[i].from, false)
+	for i := len(m.vwUndo) - 1; i >= 0; i-- {
+		m.setVW(m.vwUndo[i].v, m.vwUndo[i].from, false)
 	}
-	g.vwUndo = g.vwUndo[:0]
+	m.vwUndo = m.vwUndo[:0]
 	return nil
 }
 
-// FreezePatchable returns a worker-private snapshot that ToggleEdge and
-// SetEdgeWeight keep valid by splicing windows in place, so steady-state
-// delta workloads never re-freeze. Windows carry slack capacity; an insert
-// overflowing its window triggers a one-off rebuild with doubled slack.
-// Unlike Freeze snapshots it is not safe for concurrent use, and mutators
-// other than ToggleEdge/SetEdgeWeight drop it.
-func (g *Graph) FreezePatchable() *CSR {
-	if g.patched == nil {
-		if g.patchSlack == 0 {
-			g.patchSlack = 4
+// FreezePatchable returns a worker-private snapshot that ToggleEdge,
+// ToggleArc and SetEdgeWeight keep valid by splicing windows in place, so
+// steady-state delta workloads never re-freeze; while it is live, edge and
+// arc lookups are O(log deg) binary searches. Windows carry slack
+// capacity; an insert overflowing its window triggers a one-off rebuild
+// with doubled slack. A Digraph's snapshot holds out-windows and its
+// Edges() renders arcs as Edge{U: From, V: To}. Unlike Freeze snapshots it
+// is not safe for concurrent use, and mutators other than the toggles and
+// SetEdgeWeight drop it.
+func (m *mutlog) FreezePatchable() *CSR {
+	if m.patched == nil {
+		if m.patchSlack == 0 {
+			m.patchSlack = 4
 		}
-		g.patched = buildCSRSlack(g, g.patchSlack)
+		m.patched = m.buildPatchable()
 	}
-	return g.patched
+	return m.patched
+}
+
+// elemHash is the element hash of the edge or arc u-v with weight w.
+func (m *mutlog) elemHash(u, v int, w int64) uint64 {
+	if m.directed {
+		return ArcHash(u, v, w)
+	}
+	return EdgeHash(u, v, w)
+}
+
+// SideHashes computes the cut and both induced-side hashes in one pass.
+func (m *mutlog) SideHashes(side []bool) SideHashes {
+	var s SideHashes
+	for v, w := range m.vw {
+		s.addVertex(side[v], VertexHash(v, w))
+	}
+	for u, nbrs := range m.adj {
+		for _, half := range nbrs {
+			if m.directed || u < half.To {
+				s.add(side, u, half.To, m.elemHash(u, half.To, half.Weight))
+			}
+		}
+	}
+	return s
+}
+
+// FoldJournal XORs every journaled edge and vertex-weight mutation into s
+// and clears the journal: O(1) per delta, so a delta walk keeps s equal
+// to SideHashes(side) without rehashing the graph.
+func (m *mutlog) FoldJournal(side []bool, s *SideHashes) {
+	for _, d := range m.journal {
+		s.add(side, d.U, d.V, m.elemHash(d.U, d.V, d.W))
+	}
+	for _, d := range m.vwJournal {
+		s.addVertex(side[d.V], VertexHash(d.V, d.W))
+	}
+	m.ClearJournal()
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -251,5 +252,156 @@ func TestVertexWeightJournalAndReset(t *testing.T) {
 	// The reverting mutations were journaled for observers.
 	if len(g.VertexJournal()) == 0 {
 		t.Fatal("Reset did not journal reverting vertex deltas")
+	}
+
+	// A digraph's vertex weights ride the same log: journaled, folded and
+	// undone like a graph's.
+	d := NewDigraph(4)
+	d.MustAddArc(1, 0)
+	dh := d.SideHashes(side)
+	d.StartJournal()
+	d.MarkBase()
+	if err := d.SetVertexWeight(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	d.FoldJournal(side, &dh)
+	if dh != d.SideHashes(side) {
+		t.Fatal("digraph vertex-weight journal fold diverged from recomputed hashes")
+	}
+	if err := d.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if d.VertexWeight(0) != 1 {
+		t.Fatalf("digraph vertex 0 weight %d after reset, want 1", d.VertexWeight(0))
+	}
+}
+
+// toggleKind adapts one graph kind to FuzzToggleMatchesRebuild's ops.
+type toggleKind struct {
+	log      *mutlog
+	toggle   func(u, v int, w int64) (bool, error)
+	reweight func(u, v int, w int64) error
+	setVW    func(v int, w int64) error
+	reset    func() error
+	hashes   func(side, other []bool) SideHashes
+}
+
+func fuzzKinds(n int) []toggleKind {
+	g, d := New(n), NewDigraph(n)
+	return []toggleKind{
+		{
+			log:      &g.mutlog,
+			toggle:   g.ToggleEdge,
+			reweight: g.SetEdgeWeight,
+			setVW:    g.SetVertexWeight,
+			reset:    g.Reset,
+			hashes: func(side, other []bool) SideHashes {
+				return SideHashes{Cut: g.CutHash(side), A: g.HashWithin(side), B: g.HashWithin(other)}
+			},
+		},
+		{
+			log:    &d.mutlog,
+			toggle: d.ToggleArc,
+			// A Digraph has no SetEdgeWeight: re-weight the arc by
+			// toggling it off and back on.
+			reweight: func(u, v int, w int64) error {
+				if _, err := d.ToggleArc(u, v, 0); err != nil {
+					return err
+				}
+				_, err := d.ToggleArc(u, v, w)
+				return err
+			},
+			setVW: d.SetVertexWeight,
+			reset: d.Reset,
+			hashes: func(side, other []bool) SideHashes {
+				return SideHashes{Cut: d.CutHash(side), A: d.HashWithin(side), B: d.HashWithin(other)}
+			},
+		},
+	}
+}
+
+// FuzzToggleMatchesRebuild drives both graph kinds through a byte-coded
+// sequence of toggles, edge and vertex re-weights and MarkBase/Reset on
+// at most 8 vertices. After every step the patchable snapshot must match
+// a freshly built one of the same adjacency, the running FoldJournal value
+// must equal SideHashes (and the HashWithin/CutHash references), and a
+// Reset must bring SideHashes back to its MarkBase value. Each op is three
+// bytes: op code, endpoints (u = low 3 bits, v = next 3 bits), weight.
+func FuzzToggleMatchesRebuild(f *testing.F) {
+	// Slack overflow: vertex 0 toggled past the 4 spare slots of its window.
+	f.Add(byte(6), []byte{6, 0, 0, 0, 8, 1, 0, 16, 2, 0, 24, 3, 0, 32, 4, 0, 40, 5, 7, 0, 0})
+	// Antiparallel arc pair, re-weighted and reset.
+	f.Add(byte(3), []byte{6, 0, 0, 0, 17, 2, 0, 10, 3, 4, 17, 5, 5, 2, 6, 7, 0, 0})
+	f.Fuzz(func(t *testing.T, nByte byte, ops []byte) {
+		n := 2 + int(nByte)%7
+		side, other := make([]bool, n), make([]bool, n)
+		for v := range side {
+			side[v] = v < n/2
+			other[v] = !side[v]
+		}
+		for _, k := range fuzzKinds(n) {
+			m := k.log
+			m.FreezePatchable()
+			m.StartJournal()
+			h := m.SideHashes(side)
+			var base *SideHashes
+			for step := 0; step+3 <= len(ops); step += 3 {
+				op, u, v := ops[step]%8, int(ops[step+1]&7)%n, int(ops[step+1]>>3&7)%n
+				w := int64(ops[step+2] % 8)
+				switch {
+				case op < 4:
+					if _, err := k.toggle(u, v, w); (err != nil) != (u == v) {
+						t.Fatalf("directed=%v step %d: toggle(%d,%d) err = %v", m.directed, step, u, v, err)
+					}
+				case op == 4:
+					if halfIndex(m.adj[u], v) >= 0 {
+						if err := k.reweight(u, v, w); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case op == 5:
+					if err := k.setVW(u, w); err != nil {
+						t.Fatal(err)
+					}
+				case op == 6:
+					m.MarkBase()
+					b := m.SideHashes(side)
+					base = &b
+				default:
+					if err := k.reset(); err != nil {
+						t.Fatalf("directed=%v step %d: %v", m.directed, step, err)
+					}
+					if base != nil && m.SideHashes(side) != *base {
+						t.Fatalf("directed=%v step %d: Reset did not restore the base hashes", m.directed, step)
+					}
+				}
+				m.FoldJournal(side, &h)
+				if h != m.SideHashes(side) || h != k.hashes(side, other) {
+					t.Fatalf("directed=%v step %d: folded hashes diverged from recomputed ones", m.directed, step)
+				}
+				checkPatchable(t, m, step)
+			}
+		}
+	})
+}
+
+// checkPatchable compares m's patchable snapshot against a dense one
+// built from scratch out of the same adjacency.
+func checkPatchable(t *testing.T, m *mutlog, step int) {
+	t.Helper()
+	if m.patched == nil {
+		t.Fatalf("directed=%v step %d: patchable snapshot dropped", m.directed, step)
+	}
+	fresh := fillCSR(&CSR{directed: m.directed}, m.adj, 0)
+	fresh.rebuildEdges()
+	for v := 0; v < fresh.N(); v++ {
+		nbr, wt := m.patched.Window(v)
+		fnbr, fwt := fresh.Window(v)
+		if !slices.Equal(nbr, fnbr) || !slices.Equal(wt, fwt) {
+			t.Fatalf("directed=%v step %d: window(%d) = %v/%v, want %v/%v", m.directed, step, v, nbr, wt, fnbr, fwt)
+		}
+	}
+	if pe, fe := m.patched.Edges(), fresh.Edges(); !slices.Equal(pe, fe) {
+		t.Fatalf("directed=%v step %d: Edges() = %v, want %v", m.directed, step, pe, fe)
 	}
 }

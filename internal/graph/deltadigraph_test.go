@@ -148,9 +148,9 @@ func TestDigraphJournalRecordsToggles(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := d.Journal()
-	want := []ArcDelta{
-		{From: 1, To: 2, W: 3, Add: true},
-		{From: 0, To: 1, W: 1, Add: false},
+	want := []EdgeDelta{
+		{U: 1, V: 2, W: 3, Add: true},
+		{U: 0, V: 1, W: 1, Add: false},
 	}
 	if len(j) != len(want) {
 		t.Fatalf("journal %v, want %v", j, want)
@@ -164,8 +164,8 @@ func TestDigraphJournalRecordsToggles(t *testing.T) {
 	if len(d.Journal()) != 0 {
 		t.Fatal("ClearJournal kept entries")
 	}
-	d.MustAddArc(2, 0) // AddArc journals too
-	if len(d.Journal()) != 1 || !d.Journal()[0].Add {
+	d.MustAddArc(2, 0) // AddArc journals too, keeping the arc's direction
+	if len(d.Journal()) != 1 || d.Journal()[0] != (EdgeDelta{U: 2, V: 0, W: 1, Add: true}) {
 		t.Fatalf("AddArc journal = %v", d.Journal())
 	}
 	d.StopJournal()

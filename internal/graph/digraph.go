@@ -16,28 +16,16 @@ type Arc struct {
 // Digraph is a directed graph with arc and vertex weights. Self loops and
 // parallel arcs (same direction) are rejected; antiparallel arcs are allowed.
 type Digraph struct {
-	out [][]Half
-	in  [][]Half
-	vw  []int64
-
-	// patched is the worker-private FreezePatchable out-adjacency snapshot,
-	// spliced in place by ToggleArc and dropped by other mutators.
-	patched    *CSR
-	patchSlack int
-
-	// journal/undo support the delta machinery in deltadigraph.go.
-	journal   []ArcDelta
-	journalOn bool
-	undo      []ArcDelta
-	undoOn    bool
+	// mutlog.adj holds the out-adjacency; in mirrors it by head.
+	mutlog
+	in [][]Half
 }
 
 // NewDigraph returns a directed graph with n isolated vertices.
 func NewDigraph(n int) *Digraph {
 	d := &Digraph{
-		out: make([][]Half, n),
-		in:  make([][]Half, n),
-		vw:  make([]int64, n),
+		mutlog: mutlog{adj: make([][]Half, n), vw: make([]int64, n), directed: true},
+		in:     make([][]Half, n),
 	}
 	for i := range d.vw {
 		d.vw[i] = 1
@@ -46,22 +34,15 @@ func NewDigraph(n int) *Digraph {
 }
 
 // N returns the number of vertices.
-func (d *Digraph) N() int { return len(d.out) }
+func (d *Digraph) N() int { return len(d.adj) }
 
 // M returns the number of arcs.
 func (d *Digraph) M() int {
 	total := 0
-	for _, nbrs := range d.out {
+	for _, nbrs := range d.adj {
 		total += len(nbrs)
 	}
 	return total
-}
-
-func (d *Digraph) checkVertex(v int) error {
-	if v < 0 || v >= len(d.out) {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, len(d.out))
-	}
-	return nil
 }
 
 // AddArc adds the weight-1 arc (u, v).
@@ -81,12 +62,56 @@ func (d *Digraph) AddWeightedArc(u, v int, w int64) error {
 	if d.HasArc(u, v) {
 		return fmt.Errorf("duplicate arc (%d,%d)", u, v)
 	}
-	d.out[u] = append(d.out[u], Half{To: v, Weight: w})
+	d.adj[u] = append(d.adj[u], Half{To: v, Weight: w})
 	d.in[v] = append(d.in[v], Half{To: u, Weight: w})
 	d.patched = nil
 	d.record(u, v, w, true, true)
 	return nil
 }
+
+// ToggleArc adds the arc (u, v) with weight w if it is absent and removes
+// it (ignoring w) if it is present, reporting whether the arc is present
+// after the call. This is the directed verifier's delta primitive: unlike
+// AddArc it keeps a patchable Freeze snapshot (see FreezePatchable) valid
+// by splicing the affected out-window in place, O(outdeg), instead of
+// discarding the snapshot.
+//
+//hardness:hotpath
+func (d *Digraph) ToggleArc(u, v int, w int64) (added bool, err error) {
+	return d.toggle(u, v, w, true)
+}
+
+func (d *Digraph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
+	i, err := d.find(u, v)
+	if err != nil {
+		return false, err
+	}
+	if i >= 0 {
+		oldW := d.adj[u][i].Weight
+		d.adj[u] = removeHalfAt(d.adj[u], i)
+		d.in[v] = removeHalfAt(d.in[v], halfIndex(d.in[v], u))
+		if d.patched != nil {
+			d.patched.spliceRemove(u, v)
+			d.patched.edgesStale = true
+		}
+		d.record(u, v, oldW, false, logUndo)
+		return false, nil
+	}
+	d.adj[u] = append(d.adj[u], Half{To: v, Weight: w})
+	d.in[v] = append(d.in[v], Half{To: u, Weight: w})
+	if d.patched != nil {
+		if !d.patched.spliceInsert(u, v, w) {
+			d.regrow()
+		} else {
+			d.patched.edgesStale = true
+		}
+	}
+	d.record(u, v, w, true, logUndo)
+	return true, nil
+}
+
+// Reset is the directed analogue of Graph.Reset.
+func (d *Digraph) Reset() error { return d.reset(d.toggle) }
 
 // MustAddArc is AddArc that panics on error; for validated builders only.
 func (d *Digraph) MustAddArc(u, v int) { d.MustAddWeightedArc(u, v, 1) }
@@ -101,13 +126,13 @@ func (d *Digraph) MustAddWeightedArc(u, v int, w int64) {
 // HasArc reports whether the arc (u, v) exists. On a patchable snapshot
 // (FreezePatchable) this is a binary search, O(log outdeg).
 func (d *Digraph) HasArc(u, v int) bool {
-	if u < 0 || u >= len(d.out) || v < 0 || v >= len(d.out) {
+	if u < 0 || u >= len(d.adj) || v < 0 || v >= len(d.adj) {
 		return false
 	}
 	if d.patched != nil {
 		return d.patched.Rank(u, v) >= 0
 	}
-	for _, h := range d.out[u] {
+	for _, h := range d.adj[u] {
 		if h.To == v {
 			return true
 		}
@@ -117,13 +142,13 @@ func (d *Digraph) HasArc(u, v int) bool {
 
 // ArcWeight returns the weight of arc (u, v) and whether it exists.
 func (d *Digraph) ArcWeight(u, v int) (int64, bool) {
-	if u < 0 || u >= len(d.out) {
+	if u < 0 || u >= len(d.adj) {
 		return 0, false
 	}
 	if d.patched != nil {
 		return d.patched.EdgeWeight(u, v)
 	}
-	for _, h := range d.out[u] {
+	for _, h := range d.adj[u] {
 		if h.To == v {
 			return h.Weight, true
 		}
@@ -132,13 +157,13 @@ func (d *Digraph) ArcWeight(u, v int) (int64, bool) {
 }
 
 // OutNeighbors returns the out-adjacency of v (internal storage; read-only).
-func (d *Digraph) OutNeighbors(v int) []Half { return d.out[v] }
+func (d *Digraph) OutNeighbors(v int) []Half { return d.adj[v] }
 
 // InNeighbors returns the in-adjacency of v (internal storage; read-only).
 func (d *Digraph) InNeighbors(v int) []Half { return d.in[v] }
 
 // OutDegree returns the number of arcs leaving v.
-func (d *Digraph) OutDegree(v int) int { return len(d.out[v]) }
+func (d *Digraph) OutDegree(v int) int { return len(d.adj[v]) }
 
 // InDegree returns the number of arcs entering v.
 func (d *Digraph) InDegree(v int) int { return len(d.in[v]) }
@@ -146,19 +171,20 @@ func (d *Digraph) InDegree(v int) int { return len(d.in[v]) }
 // VertexWeight returns the weight of vertex v.
 func (d *Digraph) VertexWeight(v int) int64 { return d.vw[v] }
 
-// SetVertexWeight sets the weight of vertex v.
+// SetVertexWeight sets the weight of vertex v, journaled and undone like
+// Graph.SetVertexWeight.
 func (d *Digraph) SetVertexWeight(v int, w int64) error {
 	if err := d.checkVertex(v); err != nil {
 		return err
 	}
-	d.vw[v] = w
+	d.setVW(v, w, true)
 	return nil
 }
 
 // Arcs returns all arcs sorted by (From, To).
 func (d *Digraph) Arcs() []Arc {
 	arcs := make([]Arc, 0, d.M())
-	for u, nbrs := range d.out {
+	for u, nbrs := range d.adj {
 		for _, h := range nbrs {
 			arcs = append(arcs, Arc{From: u, To: h.To, Weight: h.Weight})
 		}
@@ -175,13 +201,12 @@ func (d *Digraph) Arcs() []Arc {
 // Clone returns a deep copy of d.
 func (d *Digraph) Clone() *Digraph {
 	c := &Digraph{
-		out: make([][]Half, len(d.out)),
-		in:  make([][]Half, len(d.in)),
-		vw:  make([]int64, len(d.vw)),
+		mutlog: mutlog{adj: make([][]Half, len(d.adj)), vw: make([]int64, len(d.vw)), directed: true},
+		in:     make([][]Half, len(d.in)),
 	}
 	copy(c.vw, d.vw)
-	for v := range d.out {
-		c.out[v] = append([]Half(nil), d.out[v]...)
+	for v := range d.adj {
+		c.adj[v] = append([]Half(nil), d.adj[v]...)
 		c.in[v] = append([]Half(nil), d.in[v]...)
 	}
 	return c
@@ -192,9 +217,9 @@ func (d *Digraph) Clone() *Digraph {
 // Vertices keep their relative order, so inducing on the full vertex set
 // is the identity relabeling.
 func (d *Digraph) InducedSubdigraph(keep func(v int) bool) (*Digraph, []int) {
-	origID := make([]int, 0, len(d.out))
-	newID := make([]int, len(d.out))
-	for v := range d.out {
+	origID := make([]int, 0, len(d.adj))
+	newID := make([]int, len(d.adj))
+	for v := range d.adj {
 		newID[v] = -1
 		if keep(v) {
 			newID[v] = len(origID)
@@ -204,7 +229,7 @@ func (d *Digraph) InducedSubdigraph(keep func(v int) bool) (*Digraph, []int) {
 	sub := NewDigraph(len(origID))
 	for i, v := range origID {
 		sub.vw[i] = d.vw[v]
-		for _, h := range d.out[v] {
+		for _, h := range d.adj[v] {
 			if newID[h.To] >= 0 {
 				sub.MustAddWeightedArc(i, newID[h.To], h.Weight)
 			}
@@ -221,7 +246,7 @@ func (d *Digraph) Underlying() *Graph {
 	for v := range d.vw {
 		g.vw[v] = d.vw[v]
 	}
-	for u, nbrs := range d.out {
+	for u, nbrs := range d.adj {
 		for _, h := range nbrs {
 			if !g.HasEdge(u, h.To) {
 				g.MustAddWeightedEdge(u, h.To, h.Weight)
@@ -241,7 +266,7 @@ func (d *Digraph) SplitDirected() *Graph {
 		g.MustAddEdge(3*v, 3*v+1)
 		g.MustAddEdge(3*v+1, 3*v+2)
 	}
-	for u, nbrs := range d.out {
+	for u, nbrs := range d.adj {
 		for _, h := range nbrs {
 			g.MustAddEdge(3*u+2, 3*h.To)
 		}

@@ -6,6 +6,12 @@
 // graph is simply a graph whose edge weights are all 1. The zero values of
 // Graph and Digraph are empty graphs with no vertices.
 //
+// Delta workloads (ToggleEdge, ToggleArc) run on one mutation log that
+// both kinds embed: its journals, undo log (MarkBase/Reset), patchable
+// snapshot (FreezePatchable) and hash fold (SideHashes/FoldJournal) treat
+// a Digraph's arcs as oriented edges and a Graph's edges as canonical
+// u < v pairs.
+//
 // All constructions in this module are deterministic; randomized generators
 // take an explicit *rand.Rand so callers control seeding.
 package graph
@@ -33,37 +39,21 @@ type Edge struct {
 // Graph is an undirected multigraph-free graph with edge and vertex weights.
 // Self loops and parallel edges are rejected by AddEdge.
 type Graph struct {
-	adj [][]Half
-	vw  []int64
+	mutlog
 
 	// csr caches the Freeze() snapshot; mutators reset it. atomic so that
 	// concurrent readers (e.g. parallel family verification workers that
 	// share a graph) may Freeze safely.
 	csr atomic.Pointer[CSR]
-
-	// patched is the worker-private FreezePatchable snapshot, spliced in
-	// place by ToggleEdge/SetEdgeWeight and dropped by other mutators.
-	patched    *CSR
-	patchSlack int
-
-	// journal/undo support the delta machinery in delta.go. Vertex-weight
-	// mutations are journaled separately from edge mutations (vwJournal /
-	// vwUndo) because they fold into different structural hashes.
-	journal   []EdgeDelta
-	journalOn bool
-	undo      []EdgeDelta
-	undoOn    bool
-	vwJournal []VertexDelta
-	vwUndo    []vwChange
 }
 
 // New returns an undirected graph with n isolated vertices, all of vertex
 // weight 1 and no edges.
 func New(n int) *Graph {
-	g := &Graph{
+	g := &Graph{mutlog: mutlog{
 		adj: make([][]Half, n),
 		vw:  make([]int64, n),
-	}
+	}}
 	for i := range g.vw {
 		g.vw[i] = 1
 	}
@@ -89,13 +79,6 @@ func (g *Graph) AddVertex() int {
 	g.csr.Store(nil)
 	g.patched = nil
 	return len(g.adj) - 1
-}
-
-func (g *Graph) checkVertex(v int) error {
-	if v < 0 || v >= len(g.adj) {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, len(g.adj))
-	}
-	return nil
 }
 
 // AddEdge adds the unweighted (weight-1) edge {u, v}.
@@ -211,6 +194,57 @@ func (g *Graph) SetEdgeWeight(u, v int, w int64) error {
 	return nil
 }
 
+// ToggleEdge adds the edge {u, v} with weight w if it is absent and removes
+// it (ignoring w) if it is present, reporting whether the edge is present
+// after the call. This is the verifier's delta primitive: unlike
+// AddEdge/SetEdgeWeight it keeps a patchable Freeze snapshot (see
+// FreezePatchable) valid by splicing the affected CSR windows in place,
+// O(deg) per endpoint, instead of discarding the snapshot.
+//
+//hardness:hotpath
+func (g *Graph) ToggleEdge(u, v int, w int64) (added bool, err error) {
+	return g.toggle(u, v, w, true)
+}
+
+func (g *Graph) toggle(u, v int, w int64, logUndo bool) (bool, error) {
+	i, err := g.find(u, v)
+	if err != nil {
+		return false, err
+	}
+	if i >= 0 {
+		oldW := g.adj[u][i].Weight
+		g.adj[u] = removeHalfAt(g.adj[u], i)
+		g.adj[v] = removeHalfAt(g.adj[v], halfIndex(g.adj[v], u))
+		g.csr.Store(nil)
+		if g.patched != nil {
+			g.patched.spliceRemove(u, v)
+			g.patched.spliceRemove(v, u)
+			g.patched.edgesStale = true
+		}
+		g.record(u, v, oldW, false, logUndo)
+		return false, nil
+	}
+	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
+	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
+	g.csr.Store(nil)
+	if g.patched != nil {
+		if !g.patched.spliceInsert(u, v, w) || !g.patched.spliceInsert(v, u, w) {
+			g.regrow()
+		} else {
+			g.patched.edgesStale = true
+		}
+	}
+	g.record(u, v, w, true, logUndo)
+	return true, nil
+}
+
+// Reset restores the graph to the MarkBase state by undoing the logged
+// mutations most recent first — O(delta) work, not O(|V|+|E|) — keeping any
+// patchable snapshot valid and emitting the reverting mutations to the
+// journal so incremental observers stay consistent. It is a no-op without a
+// preceding MarkBase.
+func (g *Graph) Reset() error { return g.reset(g.toggle) }
+
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
@@ -304,10 +338,10 @@ func (g *Graph) Edges() []Edge {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	c := &Graph{mutlog: mutlog{
 		adj: make([][]Half, len(g.adj)),
 		vw:  make([]int64, len(g.vw)),
-	}
+	}}
 	copy(c.vw, g.vw)
 	for v, nbrs := range g.adj {
 		c.adj[v] = make([]Half, len(nbrs))

@@ -61,23 +61,6 @@ func buildCSR(g *Graph) *CSR {
 	return c
 }
 
-// buildCSRSlack builds a patchable snapshot: every window gets slack spare
-// slots so in-place insertion does not overflow immediately. The canonical
-// edge list is left stale and rebuilt lazily by Edges.
-func buildCSRSlack(g *Graph, slack int) *CSR {
-	c := fillCSR(&CSR{}, g.adj, slack)
-	c.edgesStale = true
-	return c
-}
-
-// buildDirCSRSlack builds a patchable out-adjacency snapshot of a digraph;
-// windows hold out-neighbors sorted by id.
-func buildDirCSRSlack(d *Digraph, slack int) *CSR {
-	c := fillCSR(&CSR{directed: true}, d.out, slack)
-	c.edgesStale = true
-	return c
-}
-
 func fillCSR(c *CSR, adj [][]Half, slack int) *CSR {
 	n := len(adj)
 	c.offsets = make([]int32, n+1)
@@ -425,55 +408,4 @@ func (s *SideHashes) addVertex(alice bool, h uint64) {
 	} else {
 		s.B ^= h
 	}
-}
-
-// SideHashes computes the cut and both induced-side hashes in one pass.
-func (g *Graph) SideHashes(side []bool) SideHashes {
-	var s SideHashes
-	for v, w := range g.vw {
-		s.addVertex(side[v], VertexHash(v, w))
-	}
-	for u, nbrs := range g.adj {
-		for _, half := range nbrs {
-			if u < half.To {
-				s.add(side, u, half.To, EdgeHash(u, half.To, half.Weight))
-			}
-		}
-	}
-	return s
-}
-
-// FoldJournal XORs every journaled edge and vertex-weight mutation into s
-// and clears the journal: O(1) per delta, so a delta walk keeps s equal
-// to SideHashes(side) without rehashing the graph.
-func (g *Graph) FoldJournal(side []bool, s *SideHashes) {
-	for _, d := range g.journal {
-		s.add(side, d.U, d.V, EdgeHash(d.U, d.V, d.W))
-	}
-	for _, d := range g.vwJournal {
-		s.addVertex(side[d.V], VertexHash(d.V, d.W))
-	}
-	g.ClearJournal()
-}
-
-// SideHashes is the directed analogue of Graph.SideHashes.
-func (d *Digraph) SideHashes(side []bool) SideHashes {
-	var s SideHashes
-	for v, w := range d.vw {
-		s.addVertex(side[v], VertexHash(v, w))
-	}
-	for u, nbrs := range d.out {
-		for _, half := range nbrs {
-			s.add(side, u, half.To, ArcHash(u, half.To, half.Weight))
-		}
-	}
-	return s
-}
-
-// FoldJournal is the directed analogue of Graph.FoldJournal.
-func (d *Digraph) FoldJournal(side []bool, s *SideHashes) {
-	for _, a := range d.journal {
-		s.add(side, a.From, a.To, ArcHash(a.From, a.To, a.W))
-	}
-	d.ClearJournal()
 }

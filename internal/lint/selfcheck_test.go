@@ -50,8 +50,8 @@ func TestHotpathDirectiveSync(t *testing.T) {
 		{"internal/solver/mds.go", "", "recurse"},
 		{"internal/solver/maxcut.go", "", "recurse"},
 		{"internal/solver/hamilton.go", "ham64", "search"},
-		{"internal/graph/delta.go", "", "ToggleEdge"},
-		{"internal/graph/deltadigraph.go", "", "ToggleArc"},
+		{"internal/graph/graph.go", "", "ToggleEdge"},
+		{"internal/graph/digraph.go", "", "ToggleArc"},
 	}
 	for _, tgt := range targets {
 		path := filepath.Join("..", "..", filepath.FromSlash(tgt.file))

@@ -21,17 +21,20 @@ import (
 // cover), and the Theorem 2.9-style sampling estimator on the weighted
 // max-cut family.
 
-// collectAlgorithm runs the metered gossip collect program on either graph
-// kind: eval computes a component-additive quantity at each (weak)
-// component root (the domination number, a greedy set size, a
-// Hamiltonian path indicator) and answer turns the summed total into the
-// predicate decision.
-func collectAlgorithm[G lbfamily.Instance](name string, exact bool, eval func(component G) (int64, error), answer func(total int64) bool) AlgorithmOf[G] {
+// collectAlgorithm runs a metered gossip collect program on either graph
+// kind, built by build (algorithms.CollectFactory, or the retransmitting
+// algorithms.CollectRetryFactory): eval computes a component-additive
+// quantity at each (weak) component root (the domination number, a
+// greedy set size, a Hamiltonian path indicator) and answer turns the
+// summed total into the predicate decision.
+func collectAlgorithm[G lbfamily.Instance](name string, exact bool,
+	build func(g G, bandwidth int, spec algorithms.CollectSpec[G]) (congest.Factory, int, error),
+	eval func(component G) (int64, error), answer func(total int64) bool) AlgorithmOf[G] {
 	return AlgorithmOf[G]{
 		Name:  name,
 		Exact: exact,
 		Prepare: func(g G, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.CollectFactory(g, bandwidth, algorithms.CollectSpec[G]{Eval: eval})
+			factory, _, err := build(g, bandwidth, algorithms.CollectSpec[G]{Eval: eval})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -70,7 +73,7 @@ func dominationNumber(g *graph.Graph) (int64, error) {
 // (γ is component-additive): the O(m + D) upper bound the Ω̃(n²) lower
 // bound nearly matches. Certify reports zero mismatches.
 func CollectMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
-	return collectAlgorithm("collect", true, dominationNumber,
+	return collectAlgorithm("collect", true, algorithms.CollectFactory, dominationNumber,
 		func(total int64) bool { return total <= int64(fam.TargetSize()) })
 }
 
@@ -84,23 +87,8 @@ func CollectMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 // — the retry budget exceeds the simulator's default guard on small
 // graphs.
 func CollectRetryMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
-	return AlgorithmOf[*graph.Graph]{
-		Name:  "collect-retry",
-		Exact: true,
-		Prepare: func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
-			factory, _, err := algorithms.CollectRetryFactory(g, bandwidth, algorithms.CollectSpec[*graph.Graph]{Eval: dominationNumber})
-			if err != nil {
-				return nil, nil, err
-			}
-			return factory, func(res *congest.Result) (bool, error) {
-				total, err := algorithms.CollectTotal(res)
-				if err != nil {
-					return false, err
-				}
-				return total <= int64(fam.TargetSize()), nil
-			}, nil
-		},
-	}
+	return collectAlgorithm("collect-retry", true, algorithms.CollectRetryFactory, dominationNumber,
+		func(total int64) bool { return total <= int64(fam.TargetSize()) })
 }
 
 // GreedyMDS collects the graph and answers with the sequential greedy
@@ -109,7 +97,7 @@ func CollectRetryMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 // flags the pairs where the approximation misdecides the exact predicate —
 // the gap the paper's Section 2.1 hardness separates.
 func GreedyMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
-	return collectAlgorithm("greedy", false,
+	return collectAlgorithm("greedy", false, algorithms.CollectFactory,
 		func(component *graph.Graph) (int64, error) {
 			set, _, err := algorithms.GreedyMDS(component)
 			if err != nil {

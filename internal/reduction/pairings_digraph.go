@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"congesthard/internal/algorithms"
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/kmdslb"
 	"congesthard/internal/graph"
@@ -21,7 +22,7 @@ import (
 // reports zero mismatches.
 func CollectHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 	n, start, end := fam.N(), fam.Start(), fam.End()
-	return collectAlgorithm("collect", true,
+	return collectAlgorithm("collect", true, algorithms.CollectFactory,
 		func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
@@ -43,7 +44,7 @@ func CollectHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 // deciding P.
 func GreedyHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 	n, start, end := fam.N(), fam.Start(), fam.End()
-	return collectAlgorithm("greedy-path", false,
+	return collectAlgorithm("greedy-path", false, algorithms.CollectFactory,
 		func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
@@ -90,7 +91,7 @@ func greedyDirectedPathCovers(d *graph.Digraph, start, end int) bool {
 func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) AlgorithmOf[*graph.Digraph] {
 	n, root := fam.Inner.N(), fam.Inner.Root()
 	terminals := fam.Terminals()
-	return collectAlgorithm("collect", true,
+	return collectAlgorithm("collect", true, algorithms.CollectFactory,
 		func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
