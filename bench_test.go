@@ -87,9 +87,10 @@ func BenchmarkE1MDSPredicate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	predicate := fam.NewPredicate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fam.Predicate(g); err != nil {
+		if _, err := predicate(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,9 +111,10 @@ func BenchmarkE2HamPath(b *testing.B) {
 	}
 	b.ReportMetric(float64(stats.N), "n")
 	b.ReportMetric(float64(stats.CutSize), "cut")
+	predicate := fam.NewPredicate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fam.Predicate(d); err != nil {
+		if _, err := predicate(d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,8 +128,9 @@ func BenchmarkE3HamCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	predicate := fam.NewPredicate()
 	for i := 0; i < b.N; i++ {
-		if _, err := fam.Predicate(d); err != nil {
+		if _, err := predicate(d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,9 +181,10 @@ func BenchmarkE6MaxCut(b *testing.B) {
 	}
 	stats, _ := lbfamily.MeasureStats(fam)
 	reportFamily(b, stats, fam)
+	predicate := fam.NewPredicate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fam.Predicate(g); err != nil {
+		if _, err := predicate(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,8 +354,9 @@ func BenchmarkE13KMDS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	predicate := fam.NewPredicate()
 	for i := 0; i < b.N; i++ {
-		ok, err := fam.Predicate(g)
+		ok, err := predicate(g)
 		if err != nil || !ok {
 			b.Fatal(err, ok)
 		}
@@ -369,8 +374,9 @@ func BenchmarkE14NodeSteiner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	predicate := fam.NewPredicate()
 	for i := 0; i < b.N; i++ {
-		ok, err := fam.Predicate(g)
+		ok, err := predicate(g)
 		if err != nil || !ok {
 			b.Fatal(err, ok)
 		}
@@ -388,8 +394,9 @@ func BenchmarkE15DirSteiner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	predicate := fam.NewPredicate()
 	for i := 0; i < b.N; i++ {
-		ok, err := fam.Predicate(d)
+		ok, err := predicate(d)
 		if err != nil || !ok {
 			b.Fatal(err, ok)
 		}
@@ -829,9 +836,10 @@ func BenchmarkMVCFamily(b *testing.B) {
 	}
 	stats, _ := lbfamily.MeasureStats(fam)
 	reportFamily(b, stats, fam)
+	predicate := fam.NewPredicate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fam.Predicate(g); err != nil {
+		if _, err := predicate(g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -387,6 +387,7 @@ func e3HamCycle() error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
+	isCycle := c.NewPredicate()
 	checked := 0
 	for trial := 0; trial < 30; trial++ {
 		x := comm.RandomBits(4, rng)
@@ -395,7 +396,7 @@ func e3HamCycle() error {
 		if err != nil {
 			return err
 		}
-		got, err := c.Predicate(d)
+		got, err := isCycle(d)
 		if err != nil {
 			return err
 		}
@@ -653,7 +654,7 @@ func e13KMDS() error {
 	if err != nil {
 		return err
 	}
-	ok, err := fam.Predicate(g)
+	ok, err := fam.NewPredicate()(g)
 	if err != nil {
 		return err
 	}
@@ -719,7 +720,7 @@ func e15DirSteiner() error {
 	if err != nil {
 		return err
 	}
-	ok, err := fam.Predicate(d)
+	ok, err := fam.NewPredicate()(d)
 	if err != nil {
 		return err
 	}

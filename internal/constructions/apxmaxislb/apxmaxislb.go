@@ -226,14 +226,16 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides whether the maximum weight independent set reaches the
-// YES weight 8ℓ+4t.
-func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	w, _, err := solver.MaxWeightIndependentSet(g)
-	if err != nil {
-		return false, err
+// NewPredicate returns an evaluator that decides whether the maximum
+// weight independent set reaches the YES weight 8ℓ+4t (the P of Theorem
+// 4.3), on one reused MaxISOracle.
+func (f *Family) NewPredicate() func(*graph.Graph) (bool, error) {
+	var o solver.MaxISOracle
+	target := f.YesWeight()
+	return func(g *graph.Graph) (bool, error) {
+		w, _, err := o.MaxWeightIndependentSet(g)
+		return err == nil && w >= target, err
 	}
-	return w >= f.YesWeight(), nil
 }
 
 // WitnessIndependentSet constructs the weight-(8ℓ+4t) independent set of

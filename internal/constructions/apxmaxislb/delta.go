@@ -6,13 +6,9 @@ import (
 	"congesthard/internal/comm"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
-	"congesthard/internal/solver"
 )
 
-var (
-	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
 
 // BuildBase constructs the all-zeros instance G_{0,0}: the fixed code
 // gadget plus every complement input edge (a zero bit means the edge is
@@ -42,23 +38,4 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 		return fmt.Errorf("complement edge {%d,%d} out of sync with bit %d", u, v, bit)
 	}
 	return nil
-}
-
-// NewPredicateOracle returns a per-worker arena-backed evaluator of the
-// Theorem 4.3 predicate (maximum IS weight >= 8ℓ+4t).
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
-	return &predicateOracle{target: f.YesWeight()}
-}
-
-type predicateOracle struct {
-	o      solver.MaxISOracle
-	target int64
-}
-
-func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	w, _, err := p.o.MaxWeightIndependentSet(g)
-	if err != nil {
-		return false, err
-	}
-	return w >= p.target, nil
 }

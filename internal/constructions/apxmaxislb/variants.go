@@ -97,13 +97,20 @@ func (u *UnweightedFamily) AliceSide() []bool {
 	return side
 }
 
-// Predicate decides whether α(G) reaches 8ℓ+4t.
-func (u *UnweightedFamily) Predicate(g *graph.Graph) (bool, error) {
-	alpha, _, err := solver.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
+// NewPredicate returns an evaluator that decides whether α(G) reaches
+// 8ℓ+4t, on one reused MaxISOracle.
+func (u *UnweightedFamily) NewPredicate() func(*graph.Graph) (bool, error) {
+	return alphaAtLeast(u.W.YesWeight())
+}
+
+// alphaAtLeast returns an evaluator of α(G) >= target on one reused
+// MaxISOracle.
+func alphaAtLeast(target int64) func(*graph.Graph) (bool, error) {
+	var o solver.MaxISOracle
+	return func(g *graph.Graph) (bool, error) {
+		alpha, _, err := o.MaxIndependentSetSize(g)
+		return err == nil && int64(alpha) >= target, err
 	}
-	return int64(alpha) >= u.W.YesWeight(), nil
 }
 
 // LinearFamily is the Theorem 4.2 construction: input length K = k, a
@@ -267,11 +274,8 @@ func (lf *LinearFamily) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides whether α(G) reaches 6ℓ+2t.
-func (lf *LinearFamily) Predicate(g *graph.Graph) (bool, error) {
-	alpha, _, err := solver.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
-	}
-	return alpha >= lf.YesSize(), nil
+// NewPredicate returns an evaluator that decides whether α(G) reaches
+// 6ℓ+2t, on one reused MaxISOracle.
+func (lf *LinearFamily) NewPredicate() func(*graph.Graph) (bool, error) {
+	return alphaAtLeast(int64(lf.YesSize()))
 }

@@ -6,11 +6,7 @@ import (
 	"congesthard/internal/lbfamily"
 )
 
-var (
-	_ lbfamily.Family[*graph.Graph]        = (*Family)(nil)
-	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
 
 // Family implements lbfamily.Family by delegating to its mvclb base. The
 // pipeline's derived graphs G'_{x,y} vary in vertex count with the inputs,
@@ -38,9 +34,10 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) { return f.Base.Bui
 // AliceSide returns the base partition.
 func (f *Family) AliceSide() []bool { return f.Base.AliceSide() }
 
-// Predicate decides the base predicate τ(G) <= M; Corollary 3.1 transfers
-// the answer to the derived instance via α(G') = α(G) + AlphaShift.
-func (f *Family) Predicate(g *graph.Graph) (bool, error) { return f.Base.Predicate(g) }
+// NewPredicate returns the base predicate τ(G) <= M; Corollary 3.1
+// transfers the answer to the derived instance via α(G') = α(G) +
+// AlphaShift.
+func (f *Family) NewPredicate() func(*graph.Graph) (bool, error) { return f.Base.NewPredicate() }
 
 // BuildBase constructs the base family's all-zeros instance.
 func (f *Family) BuildBase() (*graph.Graph, error) { return f.Base.BuildBase() }
@@ -48,9 +45,4 @@ func (f *Family) BuildBase() (*graph.Graph, error) { return f.Base.BuildBase() }
 // ApplyBit applies the base family's complement-edge toggle.
 func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 	return f.Base.ApplyBit(g, player, bit, val)
-}
-
-// NewPredicateOracle returns the base family's arena-backed evaluator.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
-	return f.Base.NewPredicateOracle()
 }

@@ -5,13 +5,9 @@ import (
 
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
-	"congesthard/internal/solver"
 )
 
-var (
-	_ lbfamily.DeltaFamilyOf[*graph.Digraph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Digraph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Digraph] = (*Family)(nil)
 
 // BuildBase constructs the all-zeros instance G_{0,0}, which is exactly
 // the fixed Figure 2 skeleton: no input bit set means no input arc.
@@ -37,20 +33,4 @@ func (f *Family) ApplyBit(d *graph.Digraph, player, bit int, val bool) error {
 		return fmt.Errorf("input arc (%d,%d) out of sync with bit %d", u, v, bit)
 	}
 	return nil
-}
-
-// NewPredicateOracle returns a per-worker arena-backed evaluator of
-// the Theorem 2.2 predicate (directed Hamiltonian path, necessarily from
-// start to end since start has no in-arcs and end no out-arcs).
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Digraph] {
-	return &pathOracle{start: f.Start(), end: f.End()}
-}
-
-type pathOracle struct {
-	o          solver.HamiltonOracle
-	start, end int
-}
-
-func (p *pathOracle) Eval(d *graph.Digraph) (bool, error) {
-	return p.o.HasDirectedHamiltonianPathFrom(d, p.start, p.end)
 }

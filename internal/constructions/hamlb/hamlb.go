@@ -278,10 +278,11 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Digraph, error) {
 	return d, nil
 }
 
-// Predicate decides exactly whether the digraph has a directed Hamiltonian
-// path. Because start has no in-arcs and end no out-arcs, any such path
-// runs from start to end.
-func (f *Family) Predicate(d *graph.Digraph) (bool, error) {
-	_, found, err := solver.DirectedHamiltonianPathFrom(d, vStart, vEnd)
-	return found, err
+// NewPredicate returns an evaluator that decides exactly whether the
+// digraph has a directed Hamiltonian path (the P of Theorem 2.2), on one
+// reused HamiltonOracle. Because start has no in-arcs and end no
+// out-arcs, any such path runs from start to end.
+func (f *Family) NewPredicate() func(*graph.Digraph) (bool, error) {
+	var o solver.HamiltonOracle
+	return func(d *graph.Digraph) (bool, error) { return o.HasDirectedHamiltonianPathFrom(d, vStart, vEnd) }
 }

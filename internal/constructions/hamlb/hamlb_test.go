@@ -126,6 +126,7 @@ func TestCycleFamilyClaim26(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	isCycle := c.NewPredicate()
 	for trial := 0; trial < 30; trial++ {
 		x := comm.RandomBits(4, rng)
 		y := comm.RandomBits(4, rng)
@@ -133,7 +134,7 @@ func TestCycleFamilyClaim26(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Predicate(d)
+		got, err := isCycle(d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,10 +61,13 @@ func (c *CycleFamily) AliceSide() []bool {
 	return append(side, true)
 }
 
-// Predicate decides directed Hamiltonian cycle existence exactly.
-func (c *CycleFamily) Predicate(d *graph.Digraph) (bool, error) {
-	_, found, err := solver.DirectedHamiltonianCycle(d)
-	return found, err
+// NewPredicate returns an evaluator that decides directed Hamiltonian
+// cycle existence exactly.
+func (c *CycleFamily) NewPredicate() func(*graph.Digraph) (bool, error) {
+	return func(d *graph.Digraph) (bool, error) {
+		_, found, err := solver.DirectedHamiltonianCycle(d)
+		return found, err
+	}
 }
 
 // UndirectedCycleGraph applies the Lemma 2.2 reduction to one instance:

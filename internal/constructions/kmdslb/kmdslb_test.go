@@ -237,7 +237,7 @@ func TestRestrictedFamilyGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := f.Predicate(g)
+	ok, err := f.NewPredicate()(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +269,7 @@ func TestRestrictedFamilyGap(t *testing.T) {
 func TestRestrictedFamilyExhaustive(t *testing.T) {
 	p := testParams(t)
 	f, _ := NewRestricted(p)
+	predicate := f.NewPredicate()
 	err := comm.AllBits(4, func(x comm.Bits) {
 		xx := x.Clone()
 		innerErr := comm.AllBits(4, func(y comm.Bits) {
@@ -276,7 +277,7 @@ func TestRestrictedFamilyExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.Predicate(g)
+			got, err := predicate(g)
 			if err != nil {
 				t.Fatal(err)
 			}

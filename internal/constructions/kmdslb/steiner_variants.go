@@ -73,10 +73,12 @@ func (f *NodeSteinerFamily) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides whether a connected subgraph of node weight at most 2
-// spans all terminals (Lemma 4.5's YES side).
-func (f *NodeSteinerFamily) Predicate(g *graph.Graph) (bool, error) {
-	return solver.HasNodeSteinerWithin(g, f.Terminals(), 2)
+// NewPredicate returns an evaluator that decides whether a connected
+// subgraph of node weight at most 2 spans all terminals (Lemma 4.5's YES
+// side).
+func (f *NodeSteinerFamily) NewPredicate() func(*graph.Graph) (bool, error) {
+	terminals := f.Terminals()
+	return func(g *graph.Graph) (bool, error) { return solver.HasNodeSteinerWithin(g, terminals, 2) }
 }
 
 // DirSteinerFamily is the Theorem 4.7 directed Steiner tree variant
@@ -154,10 +156,13 @@ func (f *DirSteinerFamily) Build(x, y comm.Bits) (*graph.Digraph, error) {
 	return d, nil
 }
 
-// Predicate decides whether a directed Steiner tree of weight at most 2
-// rooted at R spans all terminals (Lemma 4.6's YES side).
-func (f *DirSteinerFamily) Predicate(d *graph.Digraph) (bool, error) {
-	return solver.HasDirectedSteinerWithin(d, f.Inner.Root(), f.Terminals(), 2)
+// NewPredicate returns an evaluator that decides whether a directed
+// Steiner tree of weight at most 2 rooted at R spans all terminals (the P
+// of Theorem 4.7: Lemma 4.6's YES side), on one reused DirSteinerOracle.
+func (f *DirSteinerFamily) NewPredicate() func(*graph.Digraph) (bool, error) {
+	var o solver.DirSteinerOracle
+	root, terminals := f.Inner.Root(), f.Terminals()
+	return func(d *graph.Digraph) (bool, error) { return o.HasDirectedSteinerWithin(d, root, terminals, 2) }
 }
 
 // RestrictedFamily is the Figure 7 construction for Theorem 4.8: the
@@ -279,9 +284,9 @@ func (f *RestrictedFamily) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides whether an MDS of weight at most 2 exists (Lemma 4.7's
-// YES side).
-func (f *RestrictedFamily) Predicate(g *graph.Graph) (bool, error) {
-	_, _, found, err := solver.MinDominatingSetWithin(g, 2)
-	return found, err
+// NewPredicate returns an evaluator that decides whether an MDS of weight
+// at most 2 exists (Lemma 4.7's YES side), on one reused MDSOracle.
+func (f *RestrictedFamily) NewPredicate() func(*graph.Graph) (bool, error) {
+	var o solver.MDSOracle
+	return func(g *graph.Graph) (bool, error) { return o.HasDominatingSetOfWeight(g, 2) }
 }

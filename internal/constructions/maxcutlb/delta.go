@@ -6,13 +6,9 @@ import (
 	"congesthard/internal/comm"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
-	"congesthard/internal/solver"
 )
 
-var (
-	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
 
 // BuildBase constructs the all-zeros instance G_{0,0}: every complement
 // edge present, every normalizing weight zero (weight-0 edges to N_A/N_B
@@ -58,20 +54,4 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 		}
 	}
 	return nil
-}
-
-// NewPredicateOracle returns a per-worker arena-backed evaluator of the
-// Theorem 2.8 predicate (cut of weight at least M), using the
-// branch-and-bound decision oracle instead of the Gray-code sweep.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
-	return &predicateOracle{target: f.Target()}
-}
-
-type predicateOracle struct {
-	o      solver.MaxCutOracle
-	target int64
-}
-
-func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	return p.o.HasCutOfWeight(g, p.target)
 }

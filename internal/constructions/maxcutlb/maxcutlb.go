@@ -201,10 +201,13 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides exactly whether the graph has a cut of weight at least
-// the target M.
-func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	return solver.HasCutOfWeight(g, f.Target())
+// NewPredicate returns an evaluator that decides exactly whether the graph
+// has a cut of weight at least the target M (the P of Theorem 2.8), on
+// one reused branch-and-bound MaxCutOracle.
+func (f *Family) NewPredicate() func(*graph.Graph) (bool, error) {
+	var o solver.MaxCutOracle
+	target := f.Target()
+	return func(g *graph.Graph) (bool, error) { return o.HasCutOfWeight(g, target) }
 }
 
 // WitnessCut constructs the cut side the proof of Lemma 2.4 exhibits when

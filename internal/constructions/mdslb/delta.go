@@ -5,13 +5,9 @@ import (
 
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
-	"congesthard/internal/solver"
 )
 
-var (
-	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
 
 // BuildBase constructs the all-zeros instance G_{0,0}, which is exactly
 // the fixed skeleton of Figure 1: no input bit set means no input edge.
@@ -37,19 +33,4 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 		return fmt.Errorf("input edge {%d,%d} out of sync with bit %d", u, v, bit)
 	}
 	return nil
-}
-
-// NewPredicateOracle returns a per-worker arena-backed evaluator of the
-// Theorem 2.1 predicate (dominating set of size 4·log k + 2).
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
-	return &predicateOracle{target: f.TargetSize()}
-}
-
-type predicateOracle struct {
-	o      solver.MDSOracle
-	target int
-}
-
-func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	return p.o.HasDominatingSetOfSize(g, p.target)
 }

@@ -152,10 +152,13 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides exactly whether g has a dominating set of size
-// 4*log(k)+2 (the P of Theorem 2.1).
-func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	return solver.HasDominatingSetOfSize(g, f.TargetSize())
+// NewPredicate returns an evaluator that decides exactly whether g has a
+// dominating set of size 4*log(k)+2 (the P of Theorem 2.1), on one
+// reused MDSOracle.
+func (f *Family) NewPredicate() func(*graph.Graph) (bool, error) {
+	var o solver.MDSOracle
+	target := f.TargetSize()
+	return func(g *graph.Graph) (bool, error) { return o.HasDominatingSetOfSize(g, target) }
 }
 
 // WitnessDominatingSet constructs the size-(4logk+2) dominating set that

@@ -6,13 +6,9 @@ import (
 	"congesthard/internal/comm"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
-	"congesthard/internal/solver"
 )
 
-var (
-	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
 
 // BuildBase constructs the all-zeros instance G_{0,0}: the fixed skeleton
 // plus every complement input edge (a zero bit means the edge is present).
@@ -40,23 +36,4 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 		return fmt.Errorf("complement edge {%d,%d} out of sync with bit %d", u, v, bit)
 	}
 	return nil
-}
-
-// NewPredicateOracle returns a per-worker arena-backed evaluator of the
-// predicate τ(G) <= M, i.e. α(G) >= Z.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
-	return &predicateOracle{target: f.CoverTarget()}
-}
-
-type predicateOracle struct {
-	o      solver.MaxISOracle
-	target int
-}
-
-func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	alpha, _, err := p.o.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
-	}
-	return g.N()-alpha <= p.target, nil
 }

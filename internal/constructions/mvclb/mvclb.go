@@ -160,13 +160,15 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides exactly whether τ(G) <= M, i.e. α(G) >= Z.
-func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	alpha, _, err := solver.MaxIndependentSetSize(g)
-	if err != nil {
-		return false, err
+// NewPredicate returns an evaluator that decides exactly whether
+// τ(G) <= M, i.e. α(G) >= Z, on one reused MaxISOracle.
+func (f *Family) NewPredicate() func(*graph.Graph) (bool, error) {
+	var o solver.MaxISOracle
+	target := f.CoverTarget()
+	return func(g *graph.Graph) (bool, error) {
+		alpha, _, err := o.MaxIndependentSetSize(g)
+		return err == nil && g.N()-alpha <= target, err
 	}
-	return g.N()-alpha <= f.CoverTarget(), nil
 }
 
 // WitnessIndependentSet returns the size-Z independent set the analysis

@@ -7,13 +7,9 @@ import (
 	"congesthard/internal/constructions/mdslb"
 	"congesthard/internal/graph"
 	"congesthard/internal/lbfamily"
-	"congesthard/internal/solver"
 )
 
-var (
-	_ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
-	_ lbfamily.OracleFamily[*graph.Graph]  = (*Family)(nil)
-)
+var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*Family)(nil)
 
 // BuildBase constructs the all-zeros instance G'_{0,0}: the Theorem 2.6
 // transformation applied to the MDS skeleton.
@@ -47,21 +43,4 @@ func (f *Family) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 		}
 	}
 	return nil
-}
-
-// NewPredicateOracle returns a per-worker arena-backed evaluator of the
-// Theorem 2.7 predicate (Steiner tree with at most 4k + 16·log k + 1
-// edges), with the terminal list computed once instead of per pair.
-func (f *Family) NewPredicateOracle() lbfamily.PredicateOracle[*graph.Graph] {
-	return &predicateOracle{terminals: f.Terminals(), target: f.TargetEdges()}
-}
-
-type predicateOracle struct {
-	o         solver.SteinerOracle
-	terminals []int
-	target    int
-}
-
-func (p *predicateOracle) Eval(g *graph.Graph) (bool, error) {
-	return p.o.HasSteinerTreeWithEdges(g, p.terminals, p.target)
 }

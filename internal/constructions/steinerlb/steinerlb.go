@@ -122,10 +122,13 @@ func (f *Family) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Predicate decides exactly whether the graph has a Steiner tree spanning
-// the terminals with at most TargetEdges edges.
-func (f *Family) Predicate(g *graph.Graph) (bool, error) {
-	return solver.HasSteinerTreeWithEdges(g, f.Terminals(), f.TargetEdges())
+// NewPredicate returns an evaluator that decides exactly whether the graph
+// has a Steiner tree spanning the terminals with at most TargetEdges
+// edges (the P of Theorem 2.7), on one reused SteinerOracle.
+func (f *Family) NewPredicate() func(*graph.Graph) (bool, error) {
+	var o solver.SteinerOracle
+	terminals, target := f.Terminals(), f.TargetEdges()
+	return func(g *graph.Graph) (bool, error) { return o.HasSteinerTreeWithEdges(g, terminals, target) }
 }
 
 // WitnessSteinerTree builds the Steiner tree that the proof of Claim 2.8

@@ -66,12 +66,14 @@ func (f *hookFamily) decode(g *graph.Graph) (xv, yv uint64) {
 	return xv, yv
 }
 
-func (f *hookFamily) Predicate(g *graph.Graph) (bool, error) {
-	xv, yv := f.decode(g)
-	if f.hook != nil {
-		f.hook(xv, yv)
+func (f *hookFamily) NewPredicate() func(*graph.Graph) (bool, error) {
+	return func(g *graph.Graph) (bool, error) {
+		xv, yv := f.decode(g)
+		if f.hook != nil {
+			f.hook(xv, yv)
+		}
+		return xv&yv != 0, nil
 	}
-	return xv&yv != 0, nil
 }
 
 // hookDeltaFamily opts the hook family into the delta path, so the

@@ -190,8 +190,8 @@ func (d *toyDelta) ApplyBit(g *graph.Graph, player, bit int, val bool) error {
 	return err
 }
 
-func (d *toyDelta) Predicate(g *graph.Graph) (bool, error) {
-	return g.HasEdge(0, 1) && g.HasEdge(2, 3), nil
+func (d *toyDelta) NewPredicate() func(*graph.Graph) (bool, error) {
+	return func(g *graph.Graph) (bool, error) { return g.HasEdge(0, 1) && g.HasEdge(2, 3), nil }
 }
 
 var _ lbfamily.DeltaFamilyOf[*graph.Graph] = (*toyDelta)(nil)

@@ -144,8 +144,8 @@ func (d *toyDigraphDelta) ApplyBit(g *graph.Digraph, player, bit int, val bool) 
 	return err
 }
 
-func (d *toyDigraphDelta) Predicate(g *graph.Digraph) (bool, error) {
-	return g.HasArc(0, 1) && g.HasArc(2, 3), nil
+func (d *toyDigraphDelta) NewPredicate() func(*graph.Digraph) (bool, error) {
+	return func(g *graph.Digraph) (bool, error) { return g.HasArc(0, 1) && g.HasArc(2, 3), nil }
 }
 
 var _ lbfamily.DeltaFamilyOf[*graph.Digraph] = (*toyDigraphDelta)(nil)

@@ -13,7 +13,9 @@
 //     input bit can opt into DeltaFamilyOf: verification then walks the
 //     input cube in Gray-code order and pays O(delta) per pair instead of
 //     rebuilding, re-freezing and re-hashing every G_{x,y} from scratch.
-//     A family with a reusable predicate evaluator opts into OracleFamily.
+//     Each verification worker, on either path, evaluates P through one
+//     evaluator from the family's NewPredicate, which owns its solver
+//     scratch.
 //   - ImpliedLowerBound evaluates the Theorem 1.1 round bound
 //     Ω(CC(f) / (|E_cut| log n)) from the measured family parameters.
 //   - SimulateTwoParty runs a CONGEST algorithm on G_{x,y} with the cut
@@ -44,15 +46,18 @@ type Family[G Instance] interface {
 	// K is the input length per player.
 	K() int
 	// Func is the function f the family reduces from. By Definition 1.1
-	// condition 4, Predicate(Build(x,y)) must equal Func().Eval(x,y).
+	// condition 4, P(Build(x,y)) must equal Func().Eval(x,y).
 	Func() comm.Function
 	// Build constructs G_{x,y}.
 	Build(x, y comm.Bits) (G, error)
 	// AliceSide marks V_A in the (input-independent) vertex set.
 	AliceSide() []bool
-	// Predicate decides P exactly (it may be expensive; it is the
-	// verification oracle, not part of the construction).
-	Predicate(g G) (bool, error)
+	// NewPredicate returns an evaluator that decides P exactly (it may be
+	// expensive; it is the verification oracle, not part of the
+	// construction). The evaluator owns its solver scratch, so a caller
+	// deciding many instances takes one and reuses it; it must not be
+	// used from two goroutines at once.
+	NewPredicate() func(g G) (bool, error)
 }
 
 // Input-bit owners for DeltaFamilyOf.ApplyBit.
@@ -77,30 +82,17 @@ const (
 // digraph), so the instance's mutation journals capture the delta. Before
 // taking the delta path, Verify spot-checks the surface: BuildBase plus
 // ApplyBit over every bit must reproduce Build's all-ones instance
-// hash-for-hash, else it falls back to rebuilding every pair. Exhaustive
-// pair-for-pair agreement of the two paths is asserted by the package's
-// differential tests for the in-repo families.
+// hash-for-hash, else it falls back to rebuilding every pair. Both paths
+// decide P through one NewPredicate evaluator per worker, so they differ
+// only in how each instance is reached. Exhaustive pair-for-pair
+// agreement of the two paths is asserted by the package's differential
+// tests for the in-repo families.
 type DeltaFamilyOf[G Instance] interface {
 	Family[G]
 	// BuildBase constructs the all-zeros instance G_{0,0}.
 	BuildBase() (G, error)
 	// ApplyBit applies the change of one input bit to val.
 	ApplyBit(g G, player, bit int, val bool) error
-}
-
-// PredicateOracle is a reusable predicate evaluator (typically wrapping an
-// arena-backed solver oracle) that a verification worker holds across many
-// pairs so predicate evaluation stops paying per-call allocation.
-type PredicateOracle[G Instance] interface {
-	Eval(g G) (bool, error)
-}
-
-// OracleFamily is implemented by families whose predicate can be evaluated
-// through a reusable per-worker oracle. NewPredicateOracle must return an
-// oracle whose verdicts (and errors) match Predicate exactly.
-type OracleFamily[G Instance] interface {
-	Family[G]
-	NewPredicateOracle() PredicateOracle[G]
 }
 
 // IsDigraph reports whether G is the directed kind, *graph.Digraph.
@@ -177,7 +169,7 @@ func ImpliedLowerBound(stats Stats, f comm.Function) (float64, error) {
 //  1. the vertex set (count and order) is fixed;
 //  2. for fixed y, varying x changes nothing in G[V_B] nor the cut;
 //  3. symmetrically for x;
-//  4. Predicate(G_{x,y}) == f(x, y) for every pair.
+//  4. P(G_{x,y}) == f(x, y) for every pair.
 //
 // Families implementing DeltaFamilyOf are verified delta-driven: each
 // worker walks its column shard in Gray-code order over x for fixed y,
@@ -307,9 +299,10 @@ func deltaBroken(status []PairStatus) bool {
 }
 
 // verifyPairs runs phase 1 on the sweep engine. Columns are the ys; each
-// walks the xs in walkOrder. A delta worker folds its instance's mutation
-// journal into running hashes, O(1) per toggled element, where the
-// rebuild path rehashes every instance.
+// walks the xs in walkOrder. Every worker decides P through its own
+// evaluator. A delta worker folds its instance's mutation journal into
+// running hashes, O(1) per toggled element, where the rebuild path
+// rehashes every instance.
 func verifyPairs[G Instance](ctx context.Context, fam Family[G], side []bool, xs, ys []comm.Bits, delta bool) ([]pairOutcome, []PairStatus, error) {
 	outcomes := make([]pairOutcome, len(xs)*len(ys))
 	k := fam.K()
@@ -321,15 +314,12 @@ func verifyPairs[G Instance](ctx context.Context, fam Family[G], side []bool, xs
 			return xi*len(ys) + c, xs[xi], ys[c]
 		},
 		Worker: func(g G) Step[G] {
-			eval := fam.Predicate
+			eval := fam.NewPredicate()
 			var h graph.SideHashes
 			if delta {
 				g.FreezePatchable()
 				g.StartJournal()
 				h = g.SideHashes(side)
-				if of, ok := fam.(OracleFamily[G]); ok {
-					eval = of.NewPredicateOracle().Eval
-				}
 			}
 			return func(idx int, g G, x, y comm.Bits) error {
 				out := &outcomes[idx]
@@ -500,7 +490,8 @@ type DerivedFamily struct {
 	// Transform maps G_{x,y} and the inner Alice side to the derived graph
 	// and its Alice side. It must be deterministic and input-oblivious.
 	Transform func(g *graph.Graph, aliceSide []bool) (*graph.Graph, []bool, error)
-	// Pred decides the derived predicate P2.
+	// Pred decides the derived predicate P2. Every verification worker
+	// calls it, so it must be safe for concurrent use.
 	Pred func(g *graph.Graph) (bool, error)
 	// F overrides the function; nil keeps the inner family's function.
 	F comm.Function
@@ -570,5 +561,5 @@ func (d *DerivedFamily) AliceSide() []bool {
 	return side
 }
 
-// Predicate decides the derived predicate.
-func (d *DerivedFamily) Predicate(g *graph.Graph) (bool, error) { return d.Pred(g) }
+// NewPredicate returns the derived predicate P2.
+func (d *DerivedFamily) NewPredicate() func(*graph.Graph) (bool, error) { return d.Pred }

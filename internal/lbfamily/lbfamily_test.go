@@ -49,11 +49,13 @@ func (t *toyFamily) Build(x, y comm.Bits) (*graph.Graph, error) {
 	return g, nil
 }
 
-func (t *toyFamily) Predicate(g *graph.Graph) (bool, error) {
-	if t.breakCondition == 4 {
-		return g.M() >= 1, nil // wrong predicate: breaks condition 4
+func (t *toyFamily) NewPredicate() func(*graph.Graph) (bool, error) {
+	return func(g *graph.Graph) (bool, error) {
+		if t.breakCondition == 4 {
+			return g.M() >= 1, nil // wrong predicate: breaks condition 4
+		}
+		return g.HasEdge(0, 1) && g.HasEdge(2, 3), nil
 	}
-	return g.HasEdge(0, 1) && g.HasEdge(2, 3), nil
 }
 
 func TestVerifyAcceptsCorrectFamily(t *testing.T) {
@@ -103,7 +105,9 @@ func (t *toyFamilyWithK) K() int                                     { return t.
 func (t *toyFamilyWithK) Func() comm.Function                        { return t.inner.Func() }
 func (t *toyFamilyWithK) AliceSide() []bool                          { return t.inner.AliceSide() }
 func (t *toyFamilyWithK) Build(x, y comm.Bits) (*graph.Graph, error) { return t.inner.Build(x, y) }
-func (t *toyFamilyWithK) Predicate(g *graph.Graph) (bool, error)     { return t.inner.Predicate(g) }
+func (t *toyFamilyWithK) NewPredicate() func(*graph.Graph) (bool, error) {
+	return t.inner.NewPredicate()
+}
 
 func TestMeasureStatsAndImpliedBound(t *testing.T) {
 	fam := &toyFamily{}

@@ -465,12 +465,6 @@ func HamiltonianPath(g *graph.Graph) ([]int, bool, error) {
 	return DirectedHamiltonianPath(symmetric(g))
 }
 
-// HamiltonianPathBetween searches for an undirected Hamiltonian path with
-// the given endpoints.
-func HamiltonianPathBetween(g *graph.Graph, start, end int) ([]int, bool, error) {
-	return DirectedHamiltonianPathFrom(symmetric(g), start, end)
-}
-
 // HamiltonianCycle searches for an undirected Hamiltonian cycle.
 func HamiltonianCycle(g *graph.Graph) ([]int, bool, error) {
 	if g.N() < 3 {

@@ -13,12 +13,12 @@ import (
 // branch and bound on the lowest-indexed undominated vertex and is
 // practical up to roughly 60 vertices on structured instances.
 func MinDominatingSet(g *graph.Graph) (int64, []int, error) {
-	weight, set, _, err := minDominatingSetCapped(g, math.MaxInt64/2)
+	weight, set, found, err := MinDominatingSetWithin(g, math.MaxInt64/2)
+	if err == nil && !found {
+		err = fmt.Errorf("internal: no dominating set found in %d-vertex graph", g.N())
+	}
 	if err != nil {
 		return 0, nil, err
-	}
-	if set == nil {
-		return 0, nil, fmt.Errorf("internal: no dominating set found in %d-vertex graph", g.N())
 	}
 	return weight, set, nil
 }
@@ -28,7 +28,11 @@ func MinDominatingSet(g *graph.Graph) (int64, []int, error) {
 // set within the cap was found; the search prunes aggressively above cap,
 // which makes NO answers much cheaper than a full minimization.
 func MinDominatingSetWithin(g *graph.Graph, cap int64) (weight int64, set []int, found bool, err error) {
-	return minDominatingSetCapped(g, cap)
+	weight, set, found, err = new(MDSOracle).solve(g, nil, cap, false)
+	if !found {
+		return 0, nil, false, err
+	}
+	return weight, append([]int{}, set...), true, nil
 }
 
 // HasDominatingSetOfSize reports whether g has a dominating set of
@@ -43,36 +47,17 @@ func HasDominatingSetOfSize(g *graph.Graph, size int) (bool, error) {
 // ("cover optimally all the vertices in V_A, possibly using cut
 // vertices").
 func MinDominatingSetOfTargets(g *graph.Graph, targets []int) (int64, []int, error) {
-	n := g.N()
-	if n > 512 {
-		return 0, nil, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
-	}
 	if len(targets) == 0 {
 		return 0, []int{}, nil
 	}
-	// Reduce to plain MDS by marking non-targets as already dominated:
-	// run the capped search with an initial dominated set.
-	needed := newBitset(n)
-	for _, v := range targets {
-		if v < 0 || v >= n {
-			return 0, nil, fmt.Errorf("target %d out of range", v)
-		}
-		needed.set(v)
+	weight, set, found, err := new(MDSOracle).solve(g, targets, math.MaxInt64/2, false)
+	if err == nil && !found {
+		err = fmt.Errorf("internal: no covering set found")
 	}
-	dominatedInit := newBitset(n)
-	for v := 0; v < n; v++ {
-		if !needed.get(v) {
-			dominatedInit.set(v)
-		}
-	}
-	weight, set, found, err := minDominatingSetFrom(g, dominatedInit, math.MaxInt64/2)
 	if err != nil {
 		return 0, nil, err
 	}
-	if !found {
-		return 0, nil, fmt.Errorf("internal: no covering set found")
-	}
-	return weight, set, nil
+	return weight, append([]int{}, set...), nil
 }
 
 // MinKDominatingSet computes a minimum-weight set S such that every vertex
@@ -83,31 +68,6 @@ func MinKDominatingSet(g *graph.Graph, k int) (int64, []int, error) {
 		return 0, nil, fmt.Errorf("k must be >= 1, got %d", k)
 	}
 	return MinDominatingSet(g.Power(k))
-}
-
-// minDominatingSetCapped finds a minimum-weight dominating set of weight at
-// most cap. It returns found = false if every dominating set exceeds cap.
-func minDominatingSetCapped(g *graph.Graph, cap int64) (int64, []int, bool, error) {
-	n := g.N()
-	if n == 0 {
-		return 0, []int{}, true, nil
-	}
-	if n > 512 {
-		return 0, nil, false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
-	}
-	return minDominatingSetFrom(g, newBitset(n), cap)
-}
-
-// minDominatingSetFrom is minDominatingSetCapped starting from a set of
-// vertices already considered dominated.
-func minDominatingSetFrom(g *graph.Graph, dominatedInit bitset, cap int64) (int64, []int, bool, error) {
-	o := new(MDSOracle)
-	weight, set, found := o.search(g, dominatedInit, cap, false)
-	if !found {
-		return 0, nil, false, nil
-	}
-	out := append([]int(nil), set...)
-	return weight, out, true, nil
 }
 
 // MDSOracle is a reusable exact minimum-dominating-set evaluator: it owns
@@ -136,43 +96,56 @@ type MDSOracle struct {
 }
 
 // HasDominatingSetOfSize reports whether g has a dominating set of
-// cardinality at most size, reusing the oracle's scratch. It is the
-// arena-backed equivalent of the package-level HasDominatingSetOfSize
-// (which clones the graph to unit weights; the oracle instead evaluates
-// weights as 1 directly).
+// cardinality at most size (vertex weights read as 1), reusing the
+// oracle's scratch.
 func (o *MDSOracle) HasDominatingSetOfSize(g *graph.Graph, size int) (bool, error) {
-	n := g.N()
-	if n == 0 {
-		return true, nil
-	}
-	if n > 512 {
-		return false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
-	}
-	o.grow(n)
-	for i := range o.initBuf {
-		o.initBuf[i] = 0
-	}
-	_, _, found := o.search(g, o.initBuf, int64(size), true)
-	return found, nil
+	_, _, found, err := o.solve(g, nil, int64(size), true)
+	return found, err
 }
 
 // HasDominatingSetOfWeight reports whether g has a dominating set of total
-// vertex weight at most cap, reusing the oracle's scratch. It is the
-// arena-backed equivalent of MinDominatingSetWithin's found bit.
+// vertex weight at most cap, reusing the oracle's scratch: the found bit
+// of MinDominatingSetWithin.
 func (o *MDSOracle) HasDominatingSetOfWeight(g *graph.Graph, cap int64) (bool, error) {
+	_, _, found, err := o.solve(g, nil, cap, false)
+	return found, err
+}
+
+// solve is the one entry of every exact MDS query: it validates g and the
+// targets, then finds a minimum dominating set of weight at most cap (unit
+// weights if unit). Only the vertices in targets need domination; nil
+// targets means every vertex. found is false if every such set exceeds
+// cap. The returned set aliases the oracle's storage and is only valid
+// until the next call.
+func (o *MDSOracle) solve(g *graph.Graph, targets []int, cap int64, unit bool) (weight int64, set []int, found bool, err error) {
 	n := g.N()
-	if n == 0 {
-		return true, nil
-	}
 	if n > 512 {
-		return false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
+		return 0, nil, false, fmt.Errorf("exact MDS limited to 512 vertices, got %d", n)
+	}
+	for _, v := range targets {
+		if v < 0 || v >= n {
+			return 0, nil, false, fmt.Errorf("target %d out of range", v)
+		}
+	}
+	if n == 0 {
+		return 0, nil, true, nil
 	}
 	o.grow(n)
-	for i := range o.initBuf {
-		o.initBuf[i] = 0
+	// The search starts with every non-target already dominated.
+	init := o.initBuf
+	for i := range init {
+		init[i] = 0
 	}
-	_, _, found := o.search(g, o.initBuf, cap, false)
-	return found, nil
+	if targets != nil {
+		for v := 0; v < n; v++ {
+			init.set(v)
+		}
+		for _, v := range targets {
+			init.clear(v)
+		}
+	}
+	weight, set, found = o.search(g, init, cap, unit)
+	return weight, set, found, nil
 }
 
 // grow (re)sizes the arena for n-vertex graphs.

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"congesthard/internal/graph"
@@ -92,7 +93,9 @@ func TestOraclesReusedAcrossSizesAgreeWithFreshCalls(t *testing.T) {
 // TestDirSteinerOracleAgreesWithFreshCalls drives one DirSteinerOracle
 // across random sparse digraphs of varying sizes (mixed zero- and
 // positive-weight arcs, like the Figure 6 instances) and checks every
-// verdict against the package-level HasDirectedSteinerWithin.
+// verdict against the independent full enumeration DirectedSteinerEnum,
+// then checks that out-of-range roots and terminals are rejected by a
+// fresh oracle and by one warmed on a larger digraph.
 func TestDirSteinerOracleAgreesWithFreshCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var oracle DirSteinerOracle
@@ -110,17 +113,52 @@ func TestDirSteinerOracleAgreesWithFreshCalls(t *testing.T) {
 		root := rng.Intn(n)
 		terminals := []int{rng.Intn(n), rng.Intn(n)}
 		budget := int64(rng.Intn(4))
-		got, errGot := oracle.HasDirectedSteinerWithin(d, root, terminals, budget)
-		want, errWant := HasDirectedSteinerWithin(d, root, terminals, budget)
-		if (errGot == nil) != (errWant == nil) {
-			t.Fatalf("trial %d: errors diverge: %v vs %v", trial, errGot, errWant)
+		got, err := oracle.HasDirectedSteinerWithin(d, root, terminals, budget)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if errGot == nil && got != want {
-			t.Fatalf("trial %d: oracle %v, fresh %v (n=%d root=%d terms=%v budget=%d)",
+		want := dirSteinerWithinRef(t, d, root, terminals, budget)
+		if got != want {
+			t.Fatalf("trial %d: oracle %v, enumeration %v (n=%d root=%d terms=%v budget=%d)",
 				trial, got, want, n, root, terminals, budget)
 		}
 	}
-	if _, err := oracle.HasDirectedSteinerWithin(graph.NewDigraph(3), 7, nil, 1); err == nil {
-		t.Error("out-of-range root accepted")
+
+	small := graph.NewDigraph(3)
+	small.MustAddArc(0, 1)
+	warm := new(DirSteinerOracle)
+	if _, err := warm.HasDirectedSteinerWithin(graph.NewDigraph(8), 0, []int{5}, 1); err != nil {
+		t.Fatal(err)
 	}
+	cases := []struct {
+		name      string
+		oracle    *DirSteinerOracle
+		root      int
+		terminals []int
+	}{
+		{"fresh oracle, terminal 5 on n=3", new(DirSteinerOracle), 0, []int{5}},
+		{"fresh oracle, terminal -1 on n=3", new(DirSteinerOracle), 0, []int{-1}},
+		{"oracle warmed on n=8, terminal 5 on n=3", warm, 0, []int{1, 5}},
+		{"oracle warmed on n=8, root 7 on n=3", warm, 7, nil},
+	}
+	for _, tc := range cases {
+		got, err := tc.oracle.HasDirectedSteinerWithin(small, tc.root, tc.terminals, 1)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: got (%v, %v), want an out-of-range error", tc.name, got, err)
+		}
+	}
+}
+
+// dirSteinerWithinRef decides "a directed Steiner tree within budget"
+// from DirectedSteinerEnum's minimum; unreachable terminals mean no.
+func dirSteinerWithinRef(t testing.TB, d *graph.Digraph, root int, terminals []int, budget int64) bool {
+	t.Helper()
+	w, err := DirectedSteinerEnum(d, root, terminals)
+	if err != nil {
+		if strings.Contains(err.Error(), "not reachable") {
+			return false
+		}
+		t.Fatal(err)
+	}
+	return w <= budget
 }

@@ -409,46 +409,16 @@ func HasNodeSteinerWithin(g *graph.Graph, terminals []int, budget int64) (bool, 
 
 // HasDirectedSteinerWithin decides whether all terminals are reachable
 // from root through a subgraph whose positive-weight arcs total at most
-// budget (zero-weight arcs are free). Light subsets of the positive arcs
-// are enumerated with weight pruning.
+// budget (zero-weight arcs are free), on a fresh DirSteinerOracle.
 func HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budget int64) (bool, error) {
-	if root < 0 || root >= d.N() {
-		return false, fmt.Errorf("root %d out of range", root)
-	}
-	var positive []graph.Arc
-	for _, a := range d.Arcs() {
-		if a.Weight > 0 {
-			positive = append(positive, a)
-		}
-	}
-	enabled := make(map[[2]int]bool)
-	var try func(idx int, remaining int64) bool
-	try = func(idx int, remaining int64) bool {
-		if allTerminalsReachable(d, root, terminals, enabled) {
-			return true
-		}
-		for i := idx; i < len(positive); i++ {
-			a := positive[i]
-			if a.Weight > remaining {
-				continue
-			}
-			key := [2]int{a.From, a.To}
-			enabled[key] = true
-			if try(i+1, remaining-a.Weight) {
-				return true
-			}
-			delete(enabled, key)
-		}
-		return false
-	}
-	return try(0, budget), nil
+	return new(DirSteinerOracle).HasDirectedSteinerWithin(d, root, terminals, budget)
 }
 
-// DirSteinerOracle is the reusable-arena form of HasDirectedSteinerWithin:
-// it owns the positive-arc list, the enabled-arc stack and the
+// DirSteinerOracle is a reusable directed Steiner decision evaluator: it
+// owns the positive-arc list, the enabled-arc stack and the
 // generation-stamped BFS scratch, so a verification worker holding one
-// across thousands of pairs stops paying per-call allocation. Verdicts
-// (and errors) match the package function exactly.
+// across thousands of pairs stops paying per-call allocation. The zero
+// value is ready to use. Not safe for concurrent use.
 type DirSteinerOracle struct {
 	positive []graph.Arc
 	enabled  [][2]int
@@ -469,12 +439,13 @@ func (o *DirSteinerOracle) grow(n int) {
 
 // HasDirectedSteinerWithin decides whether all terminals are reachable
 // from root through a subgraph whose positive-weight arcs total at most
-// budget (zero-weight arcs are free), like the package function but on
-// the oracle's arena.
+// budget (zero-weight arcs are free). Light subsets of the positive arcs
+// are enumerated with weight pruning, on the oracle's arena. The root and
+// every terminal must lie in [0, n).
 func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, terminals []int, budget int64) (bool, error) {
 	n := d.N()
-	if root < 0 || root >= n {
-		return false, fmt.Errorf("root %d out of range", root)
+	if err := checkDirSteinerQuery(n, root, terminals); err != nil {
+		return false, err
 	}
 	o.grow(n)
 	o.positive = o.positive[:0]
@@ -507,9 +478,9 @@ func (o *DirSteinerOracle) HasDirectedSteinerWithin(d *graph.Digraph, root int, 
 	return try(0, budget), nil
 }
 
-// allReachable is allTerminalsReachable on the arena: generation-stamped
-// seen marks (no clearing) and a linear scan of the small enabled stack
-// in place of the map.
+// allReachable reports whether every terminal is reachable from root
+// through free and enabled arcs, with generation-stamped seen marks (no
+// clearing) and a linear scan of the small enabled stack.
 func (o *DirSteinerOracle) allReachable(d *graph.Digraph, root int, terminals []int) bool {
 	o.gen++
 	o.queue = o.queue[:0]
@@ -539,10 +510,6 @@ func (o *DirSteinerOracle) allReachable(d *graph.Digraph, root int, terminals []
 		}
 	}
 	return true
-}
-
-func terminalsConnected(g *graph.Graph, terminals []int, allowed []bool) bool {
-	return newBFSScratch(g.N()).terminalsConnected(g, terminals, allowed)
 }
 
 // bfsScratch holds reusable BFS buffers so that subset-enumeration solvers
@@ -586,67 +553,88 @@ func (s *bfsScratch) terminalsConnected(g *graph.Graph, terminals []int, allowed
 
 // DirectedSteinerEnum computes the minimum total arc weight of a subgraph
 // in which every terminal is reachable from root, enumerating subsets of
-// the positive-weight arcs (zero-weight arcs are free; limit 22 positive
-// arcs). This covers the Section 4.4 directed Steiner instances.
+// the positive-weight arcs (zero-weight arcs are free, negative ones
+// unusable; limit 22 positive arcs). This covers the Section 4.4 directed
+// Steiner instances, and it is the tests' reference for
+// DirSteinerOracle.
 func DirectedSteinerEnum(d *graph.Digraph, root int, terminals []int) (int64, error) {
-	var positive []graph.Arc
+	n := d.N()
+	if err := checkDirSteinerQuery(n, root, terminals); err != nil {
+		return 0, err
+	}
+	// out[v] lists v's usable arcs; bit is the arc's index among the
+	// positive-weight arcs, -1 for a free arc.
+	type arc struct{ to, bit int }
+	out := make([][]arc, n)
+	var weights []int64
 	for _, a := range d.Arcs() {
-		if a.Weight > 0 {
-			positive = append(positive, a)
+		bit := -1
+		switch {
+		case a.Weight < 0:
+			continue
+		case a.Weight > 0:
+			bit = len(weights)
+			weights = append(weights, a.Weight)
 		}
+		out[a.From] = append(out[a.From], arc{to: a.To, bit: bit})
 	}
-	if len(positive) > 22 {
-		return 0, fmt.Errorf("directed steiner enumeration limited to 22 positive-weight arcs, got %d", len(positive))
+	if len(weights) > 22 {
+		return 0, fmt.Errorf("directed steiner enumeration limited to 22 positive-weight arcs, got %d", len(weights))
 	}
-	const inf = int64(math.MaxInt64 / 4)
-	best := inf
-	subsets := 1 << uint(len(positive))
-	enabled := make(map[[2]int]bool, len(positive))
-	for mask := 0; mask < subsets; mask++ {
-		var weight int64
-		for k := range enabled {
-			delete(enabled, k)
-		}
-		for i, a := range positive {
-			if mask>>uint(i)&1 == 1 {
-				enabled[[2]int{a.From, a.To}] = true
-				weight += a.Weight
+	seen := make([]bool, n)
+	queue := make([]int, 0, n)
+	reachable := func(mask int) bool {
+		clear(seen)
+		queue = append(queue[:0], root)
+		seen[root] = true
+		for head := 0; head < len(queue); head++ {
+			for _, a := range out[queue[head]] {
+				if (a.bit < 0 || mask>>uint(a.bit)&1 == 1) && !seen[a.to] {
+					seen[a.to] = true
+					queue = append(queue, a.to)
+				}
 			}
 		}
-		if weight >= best {
-			continue
+		for _, term := range terminals {
+			if !seen[term] {
+				return false
+			}
 		}
-		if allTerminalsReachable(d, root, terminals, enabled) {
+		return true
+	}
+	all := 1<<uint(len(weights)) - 1
+	if !reachable(all) {
+		return 0, fmt.Errorf("terminals not reachable from root")
+	}
+	var best int64
+	for _, w := range weights {
+		best += w
+	}
+	for mask := 0; mask < all; mask++ {
+		var weight int64
+		for i, w := range weights {
+			if mask>>uint(i)&1 == 1 {
+				weight += w
+			}
+		}
+		if weight < best && reachable(mask) {
 			best = weight
 		}
-	}
-	if best >= inf {
-		return 0, fmt.Errorf("terminals not reachable from root")
 	}
 	return best, nil
 }
 
-func allTerminalsReachable(d *graph.Digraph, root int, terminals []int, enabledPositive map[[2]int]bool) bool {
-	seen := make([]bool, d.N())
-	queue := []int{root}
-	seen[root] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, h := range d.OutNeighbors(v) {
-			usable := h.Weight == 0 || enabledPositive[[2]int{v, h.To}]
-			if usable && !seen[h.To] {
-				seen[h.To] = true
-				queue = append(queue, h.To)
-			}
+// checkDirSteinerQuery rejects a root or terminal outside [0, n).
+func checkDirSteinerQuery(n, root int, terminals []int) error {
+	if root < 0 || root >= n {
+		return fmt.Errorf("root %d out of range", root)
+	}
+	for _, v := range terminals {
+		if v < 0 || v >= n {
+			return fmt.Errorf("terminal %d out of range", v)
 		}
 	}
-	for _, term := range terminals {
-		if !seen[term] {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 type unionFind struct {

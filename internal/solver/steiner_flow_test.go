@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"congesthard/internal/graph"
@@ -138,6 +139,14 @@ func TestDirectedSteinerEnum(t *testing.T) {
 	}
 	if _, err := DirectedSteinerEnum(d, 3, []int{0}); err == nil {
 		t.Error("unreachable terminal accepted")
+	}
+	if _, err := DirectedSteinerEnum(graph.NewDigraph(3), 7, []int{0}); err == nil ||
+		!strings.Contains(err.Error(), "root 7 out of range") {
+		t.Errorf("root 7 on n=3: err = %v, want out-of-range error", err)
+	}
+	if _, err := DirectedSteinerEnum(graph.NewDigraph(3), 0, []int{5}); err == nil ||
+		!strings.Contains(err.Error(), "terminal 5 out of range") {
+		t.Errorf("terminal 5 on n=3: err = %v, want out-of-range error", err)
 	}
 }
 
