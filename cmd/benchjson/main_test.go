@@ -146,7 +146,7 @@ func TestCheckGatesAppliesCeilingsByNamePrefix(t *testing.T) {
 	entries := []Entry{
 		{Name: "BenchmarkVerifyExhaustive/mdslb-k2-4", AllocsPerOp: 8192},
 		{Name: "BenchmarkCongestRunCore/64v-rounds=1024,faults-4", AllocsPerOp: 8193},
-		{Name: "BenchmarkCertifyThroughput/mds-collect-4", AllocsPerOp: 106000},
+		{Name: "BenchmarkCertifyThroughput/mds-collect-4", AllocsPerOp: 8200},
 		{Name: "BenchmarkCertifyThroughput/mds-collect-metrics-4", AllocsPerOp: 460000},
 		{Name: "BenchmarkCertifyThroughput/hamlb-collect-4", AllocsPerOp: 3900000},
 		{Name: "BenchmarkServeThroughput-4", AllocsPerOp: 1 << 40},

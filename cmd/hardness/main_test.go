@@ -32,6 +32,25 @@ func TestRunCertifyCancelledContext(t *testing.T) {
 	}
 }
 
+// TestRunCertifyRejectsNegativeCounts: -pairs -3 used to run the
+// exhaustive sweep and -workers -2 was accepted silently; both now fail
+// before any report is printed, so main exits 1.
+func TestRunCertifyRejectsNegativeCounts(t *testing.T) {
+	for _, c := range []struct {
+		pairs, workers int
+		want           string
+	}{{-3, 0, "negative pair count -3"}, {0, -2, "negative worker count -2"}} {
+		var buf bytes.Buffer
+		err := runCertify(context.Background(), &buf, "mds", "collect", c.pairs, "", 0, false, c.workers, false)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-pairs %d -workers %d: err %v, want one naming %q", c.pairs, c.workers, err, c.want)
+		}
+		if strings.Contains(buf.String(), "certify family=") {
+			t.Errorf("-pairs %d -workers %d printed a report:\n%s", c.pairs, c.workers, buf.String())
+		}
+	}
+}
+
 // TestRunCertifySignalInterrupt wires runCertify behind
 // signal.NotifyContext exactly as main does and delivers a real SIGINT to
 // the test process mid-sweep: the run must stop with a partial report

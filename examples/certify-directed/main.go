@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	factory, _, err := algorithms.CollectFactory(d, 0, algorithms.CollectSpec[*graph.Digraph]{
-		Eval: func(component *graph.Digraph) (int64, error) { return int64(component.M()), nil },
+		Eval: algorithms.Stateless(func(component *graph.Digraph) (int64, error) { return int64(component.M()), nil }),
 	})
 	if err != nil {
 		log.Fatal(err)

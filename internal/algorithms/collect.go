@@ -36,14 +36,23 @@ import (
 // is the root: only it reconstructs the instance and evaluates Eval on its
 // component — disconnected instances (e.g. the MDS family's all-zeros
 // graph) are handled by summing the per-component values, which is exact
-// for component-additive quantities like the domination number. With a
-// Keep filter the collected records no longer witness connectivity, so
-// the instance must be (weakly) connected and vertex 0 is the sole root,
-// evaluating Eval on the full filtered collection. A record the
-// reconstruction rejects is reported by vertex 0, which is a root in
-// either mode. Reconstruction carries edges, arcs and their weights but
-// not remote vertex weights, so Eval must not depend on non-default
-// vertex weights.
+// for component-additive quantities like the domination number. A vertex
+// with a smaller link neighbor skips the union-find: it learned that
+// link's record at wakeup, so it is never a root. With a Keep filter the
+// collected records no longer witness connectivity, so the instance must
+// be (weakly) connected and vertex 0 is the sole root, evaluating Eval on
+// the full filtered collection. A record the reconstruction rejects is
+// reported by vertex 0, which is a root in either mode. Reconstruction
+// carries edges, arcs and their weights but not remote vertex weights, so
+// Eval must not depend on non-default vertex weights.
+//
+// Node state is reused, not rebuilt: the factory keeps each vertex's node
+// in its congest.Arena slot (Local.Slot) and resets it in place, so a
+// sweep worker's pairs reuse the record stores, the graphs a root
+// reconstructs into (cleared, not reallocated; a component that spans
+// every vertex is evaluated as collected, without an induced copy) and,
+// through the spec's RootEval, the root's solver scratch. Non-roots output
+// one shared zero value; a root outputs a copy of its result.
 //
 // The budget frame*(T + n + 2) + 4, with T the number of kept records,
 // dominates the classic pipelined-flooding bound frame*(T + D): a record
@@ -72,7 +81,27 @@ type CollectSpec[G Kind] struct {
 	// component keeps original ids (full collection), or the whole
 	// filtered collection (Keep != nil). The per-root values are combined
 	// by CollectTotal.
-	Eval func(collected G) (int64, error)
+	Eval *RootEval[G]
+}
+
+// RootEval is a root evaluation, in the pattern of lbfamily's
+// NewPredicate: New returns an evaluator that may own solver scratch and
+// is not safe for concurrent use. A node makes its evaluator the first
+// time it evaluates and keeps it in its reused node state for as long as
+// later runs name the same *RootEval, so an algorithm that shares one
+// RootEval across its pairs builds each sweep worker's scratch once; a
+// node that meets another RootEval makes a fresh evaluator, so
+// algorithms that happen to reuse one arena never share scratch. The
+// collected instance is node state the next run clears: an evaluator
+// must not keep it.
+type RootEval[G Kind] struct {
+	New func() func(collected G) (int64, error)
+}
+
+// Stateless returns a RootEval for an evaluation that keeps no scratch:
+// every node evaluates with eval itself.
+func Stateless[G Kind](eval func(collected G) (int64, error)) *RootEval[G] {
+	return &RootEval[G]{New: func() func(G) (int64, error) { return eval }}
 }
 
 // CollectFactory builds the gossip program for g and returns the node
@@ -102,17 +131,32 @@ func CollectFactory[G Kind](g G, bandwidth int, spec CollectSpec[G]) (congest.Fa
 	frame := 1 + wchunks
 	budget := frame*(records+n+2) + 4
 	factory := func(local congest.Local) congest.Node {
-		c := &collectNode[G]{spec: spec}
-		c.init(local, n, bandwidth, budget, wchunks, records)
+		c := reuse[collectNode[G]](local)
+		c.init(local, spec, n, bandwidth, budget, wchunks, records)
 		return c
 	}
 	return factory, budget, nil
 }
 
+// reuse returns the node state of type *T that the vertex's arena slot
+// holds, or stores a new one there (any other value in the slot, left by
+// another program, is replaced). Without a slot the state is fresh.
+func reuse[T any](local congest.Local) *T {
+	if local.Slot == nil {
+		return new(T)
+	}
+	if t, ok := (*local.Slot).(*T); ok {
+		return t
+	}
+	t := new(T)
+	*local.Slot = t
+	return t
+}
+
 // recordCodec is what the collect program needs of its graph kind G: the
 // words of its error messages, the connectivity a filtered collection
 // requires, the kept records' frame layout, the records a vertex knows at
-// wakeup, and the reconstruction an elected root evaluates.
+// wakeup, and the graph an elected root reconstructs into.
 type recordCodec[G Kind] struct {
 	noun, connectedNoun, elem string
 	connected                 func(g G) bool
@@ -120,9 +164,10 @@ type recordCodec[G Kind] struct {
 	layout func(g G, keep func(a, b int, w int64) bool, chunkBits int) (records, wchunks int, err error)
 	// seed learns the kept records incident to the waking vertex.
 	seed func(s *recordStore, local congest.Local, keep func(a, b int, w int64) bool)
-	// settle reconstructs the collected instance at a root and evaluates
-	// eval on it.
-	settle func(s *recordStore, eval func(G) (int64, error))
+	// clear empties *g to n isolated vertices, making it on first use.
+	clear func(g *G, n int)
+	// add inserts the edge {a, b} or the arc a -> b with weight w.
+	add func(g G, a, b int, w int64) error
 }
 
 // edgeCodec collects canonical u < v edges.
@@ -143,16 +188,14 @@ var edgeCodec = recordCodec[*graph.Graph]{
 			}
 		}
 	},
-	settle: func(s *recordStore, eval func(*graph.Graph) (int64, error)) {
-		collected := graph.New(s.n)
-		if !s.rebuild("graph", collected.AddWeightedEdge) {
+	clear: func(g **graph.Graph, n int) {
+		if *g == nil {
+			*g = graph.New(n)
 			return
 		}
-		if s.full {
-			collected, _ = collected.InducedSubgraph(s.member)
-		}
-		s.out.value, s.out.err = eval(collected)
+		(*g).Clear(n)
 	},
+	add: (*graph.Graph).AddWeightedEdge,
 }
 
 // arcCodec collects oriented arcs, out-arcs then in-arcs at wakeup.
@@ -174,16 +217,14 @@ var arcCodec = recordCodec[*graph.Digraph]{
 			}
 		}
 	},
-	settle: func(s *recordStore, eval func(*graph.Digraph) (int64, error)) {
-		collected := graph.NewDigraph(s.n)
-		if !s.rebuild("digraph", collected.AddWeightedArc) {
+	clear: func(d **graph.Digraph, n int) {
+		if *d == nil {
+			*d = graph.NewDigraph(n)
 			return
 		}
-		if s.full {
-			collected, _ = collected.InducedSubdigraph(s.member)
-		}
-		s.out.value, s.out.err = eval(collected)
+		(*d).Clear(n)
 	},
+	add: (*graph.Digraph).AddWeightedArc,
 }
 
 // codecOf returns the record codec of kind G.
@@ -261,19 +302,25 @@ func CollectTotal(res *congest.Result) (int64, error) {
 }
 
 // collectNode is the collect program over the shared record store; the
-// retransmitting variant embeds its graph instantiation. The codec is
-// looked up from G rather than stored: a pointer field would move the node
-// up an allocation size class, 16 bytes per vertex.
+// retransmitting variant embeds its graph instantiation. The factory
+// keeps one per vertex in the arena slot and resets it every run.
 type collectNode[G Kind] struct {
 	recordStore
 	spec CollectSpec[G]
+	// collected and component are a root's reconstruction graphs: every
+	// record, and the root's component reindexed when it does not span.
+	collected, component G
+	// eval is the evaluator made by evalOf.New (see RootEval).
+	eval   func(G) (int64, error)
+	evalOf *RootEval[G]
 }
 
-// init sizes the record store and seeds it with the vertex's incident
-// kept records.
-func (c *collectNode[G]) init(local congest.Local, n, cw, budget, wchunks, records int) {
-	c.recordStore = newRecordStore(local.ID, n, local.Neighbors, c.spec.Keep == nil, cw, wchunks, budget, records)
-	codecOf[G]().seed(&c.recordStore, local, c.spec.Keep)
+// init resets the node for a run and seeds the record store with the
+// vertex's incident kept records.
+func (c *collectNode[G]) init(local congest.Local, spec CollectSpec[G], n, cw, budget, wchunks, records int) {
+	c.spec = spec
+	c.reset(local.ID, n, local.Neighbors, spec.Keep == nil, cw, wchunks, budget, records)
+	codecOf[G]().seed(&c.recordStore, local, spec.Keep)
 }
 
 // Round gossips; at the budget the roots reconstruct and evaluate.
@@ -287,9 +334,56 @@ func (c *collectNode[G]) Round(round int, inbox []congest.Incoming) ([]congest.M
 
 // finish elects the root and, at a root, reconstructs the collected
 // instance and evaluates it: the root's component (reindexed) under full
-// collection, the whole filtered collection otherwise.
+// collection, the whole filtered collection otherwise. A record the
+// reconstruction rejects makes vertex 0, the one root in both collection
+// modes, output the error; any other root then produces no output.
 func (c *collectNode[G]) finish() {
-	if c.elect() {
-		codecOf[G]().settle(&c.recordStore, c.spec.Eval)
+	if !c.elect() {
+		return
 	}
+	codec := codecOf[G]()
+	codec.clear(&c.collected, c.n)
+	for _, r := range c.records {
+		a, b := c.ends(r)
+		if err := codec.add(c.collected, a, b, r.w); err != nil {
+			if c.id == 0 {
+				c.out = collectOutput{root: true, err: fmt.Errorf("reconstructing collected %s: %w", codec.noun, err)}
+			}
+			return
+		}
+	}
+	c.out.root = true
+	g := c.collected
+	if c.full {
+		g = c.rootComponent(codec)
+	}
+	c.out.value, c.out.err = c.evaluator()(g)
+}
+
+// rootComponent returns the root's component of the collected instance,
+// reindexed ascending: the collected instance itself when the component
+// spans every vertex, otherwise its copy in the component graph.
+func (c *collectNode[G]) rootComponent(codec *recordCodec[G]) G {
+	k := c.reindex()
+	if k == c.n {
+		return c.collected
+	}
+	codec.clear(&c.component, k)
+	for _, r := range c.records {
+		// The collected instance accepted every record, so both ends are
+		// in range and the component gets no duplicate.
+		if a, b := c.ends(r); c.index[a] >= 0 && c.index[b] >= 0 {
+			_ = codec.add(c.component, c.index[a], c.index[b], r.w)
+		}
+	}
+	return c.component
+}
+
+// evaluator returns the node's evaluator of the spec's RootEval, made
+// on first use.
+func (c *collectNode[G]) evaluator() func(G) (int64, error) {
+	if ev := c.spec.Eval; c.evalOf != ev {
+		c.eval, c.evalOf = ev.New(), ev
+	}
+	return c.eval
 }

@@ -48,14 +48,14 @@ func TestCollectReconstructsGraphExactly(t *testing.T) {
 	for i, g := range cases {
 		want := g.Signature()
 		total, _ := runCollect(t, g, CollectSpec[*graph.Graph]{
-			Eval: func(collected *graph.Graph) (int64, error) {
+			Eval: Stateless(func(collected *graph.Graph) (int64, error) {
 				// A connected graph has one root whose component is the
 				// whole graph, reindexed by the identity.
 				if collected.Signature() == want {
 					return 1, nil
 				}
 				return 0, nil
-			},
+			}),
 		})
 		if total != 1 {
 			t.Errorf("case %d (%v): root reconstruction differs from the input graph", i, g)
@@ -73,9 +73,9 @@ func TestCollectDisconnectedComponents(t *testing.T) {
 	g.MustAddEdge(0, 2)
 	g.MustAddEdge(3, 4)
 	total, res := runCollect(t, g, CollectSpec[*graph.Graph]{
-		Eval: func(component *graph.Graph) (int64, error) {
+		Eval: Stateless(func(component *graph.Graph) (int64, error) {
 			return int64(component.N()), nil
-		},
+		}),
 	})
 	if total != 6 {
 		t.Errorf("component sizes sum to %d, want 6", total)
@@ -112,7 +112,7 @@ func TestCollectKeepFilter(t *testing.T) {
 	}
 	total, _ := runCollect(t, g, CollectSpec[*graph.Graph]{
 		Keep: keep,
-		Eval: func(collected *graph.Graph) (int64, error) {
+		Eval: Stateless(func(collected *graph.Graph) (int64, error) {
 			if collected.M() != wantKept {
 				return 0, nil
 			}
@@ -123,7 +123,7 @@ func TestCollectKeepFilter(t *testing.T) {
 				}
 			}
 			return 1, nil
-		},
+		}),
 	})
 	if total != 1 {
 		t.Error("filtered collection does not match the kept edge set")
@@ -163,7 +163,7 @@ func TestDiCollectReconstructsArcsExactly(t *testing.T) {
 	d.MustAddWeightedArc(4, 5, 9)
 	want := d.Arcs()
 	total, _ := runCollect(t, d, CollectSpec[*graph.Digraph]{
-		Eval: func(collected *graph.Digraph) (int64, error) {
+		Eval: Stateless(func(collected *graph.Digraph) (int64, error) {
 			got := collected.Arcs()
 			if len(got) != len(want) {
 				return 0, nil
@@ -174,7 +174,7 @@ func TestDiCollectReconstructsArcsExactly(t *testing.T) {
 				}
 			}
 			return 1, nil
-		},
+		}),
 	})
 	if total != 1 {
 		t.Error("root did not reconstruct the exact arc list")
@@ -192,9 +192,9 @@ func TestDiCollectDisconnectedComponentsSum(t *testing.T) {
 	d.MustAddArc(3, 4)
 	d.MustAddArc(4, 3)
 	total, res := runCollect(t, d, CollectSpec[*graph.Digraph]{
-		Eval: func(collected *graph.Digraph) (int64, error) {
+		Eval: Stateless(func(collected *graph.Digraph) (int64, error) {
 			return int64(collected.M()), nil
-		},
+		}),
 	})
 	if total != 4 {
 		t.Errorf("summed arc count %d, want 4", total)
@@ -219,12 +219,12 @@ func TestDiCollectSpanningComponentKeepsIDs(t *testing.T) {
 	d.MustAddArc(1, 2)
 	d.MustAddArc(2, 3)
 	total, _ := runCollect(t, d, CollectSpec[*graph.Digraph]{
-		Eval: func(collected *graph.Digraph) (int64, error) {
+		Eval: Stateless(func(collected *graph.Digraph) (int64, error) {
 			if collected.N() != 4 || !collected.HasArc(2, 3) || collected.HasArc(3, 2) {
 				return 0, nil
 			}
 			return 1, nil
-		},
+		}),
 	})
 	if total != 1 {
 		t.Error("spanning component was relabeled")
@@ -239,9 +239,9 @@ func TestDiCollectKeepFilter(t *testing.T) {
 	d.MustAddWeightedArc(3, 0, 8)
 	total, _ := runCollect(t, d, CollectSpec[*graph.Digraph]{
 		Keep: func(from, to int, w int64) bool { return w >= 5 },
-		Eval: func(collected *graph.Digraph) (int64, error) {
+		Eval: Stateless(func(collected *graph.Digraph) (int64, error) {
 			return int64(collected.M()), nil
-		},
+		}),
 	})
 	if total != 2 {
 		t.Errorf("filtered collection kept %d arcs, want 2", total)
@@ -252,7 +252,7 @@ func TestDiCollectKeepFilter(t *testing.T) {
 	disc.MustAddArc(0, 1)
 	if _, _, err := CollectFactory(disc, 0, CollectSpec[*graph.Digraph]{
 		Keep: func(int, int, int64) bool { return true },
-		Eval: func(*graph.Digraph) (int64, error) { return 0, nil },
+		Eval: Stateless(func(*graph.Digraph) (int64, error) { return 0, nil }),
 	}); err == nil {
 		t.Error("filtered collect accepted a weakly disconnected digraph")
 	}
@@ -262,7 +262,7 @@ func TestDiCollectRejectsNegativeWeights(t *testing.T) {
 	d := graph.NewDigraph(2)
 	d.MustAddWeightedArc(0, 1, -3)
 	if _, _, err := CollectFactory(d, 0, CollectSpec[*graph.Digraph]{
-		Eval: func(*graph.Digraph) (int64, error) { return 0, nil },
+		Eval: Stateless(func(*graph.Digraph) (int64, error) { return 0, nil }),
 	}); err == nil {
 		t.Error("negative arc weight accepted")
 	}

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func componentsRoot(n, id int, records []record, directed bool) bool {
 	if directed {
 		d := graph.NewDigraph(n)
 		for _, r := range records {
-			if d.AddWeightedArc(r.a, r.b, r.w) != nil {
+			if d.AddWeightedArc(int(r.key)/n, int(r.key)%n, r.w) != nil {
 				return id == 0
 			}
 		}
@@ -30,7 +31,7 @@ func componentsRoot(n, id int, records []record, directed bool) bool {
 	} else {
 		g := graph.New(n)
 		for _, r := range records {
-			if g.AddWeightedEdge(r.a, r.b, r.w) != nil {
+			if g.AddWeightedEdge(int(r.key)/n, int(r.key)%n, r.w) != nil {
 				return id == 0
 			}
 		}
@@ -44,17 +45,30 @@ func componentsRoot(n, id int, records []record, directed bool) bool {
 	return true
 }
 
-// checkElection compares the union-find election against componentsRoot
-// on every prefix of every vertex's final records (each prefix is a record
-// set some vertex could hold mid-run), and checks that the run's root
-// flags are the full-record elections.
-func checkElection(t *testing.T, name string, stores []*recordStore, outputs []interface{}, directed bool) {
+// captured is one vertex's record store at the end of a run, with the
+// number of records it seeded at wakeup (the first ones it holds).
+type captured struct {
+	store  *recordStore
+	seeded int
+}
+
+// checkElection compares the election against componentsRoot on every
+// prefix of every vertex's final records (each prefix is a record set
+// some vertex could hold mid-run), and checks that the run's root flags
+// are the full-record elections. A prefix holding the vertex's seeded
+// records gets its real neighbor list, so the smaller-neighbor fast path
+// is checked too; shorter prefixes run the union-find alone.
+func checkElection(t *testing.T, name string, stores []captured, outputs []interface{}, directed bool) {
 	t.Helper()
-	for v, s := range stores {
+	for v, c := range stores {
+		s := c.store
 		for k := 0; k <= len(s.records); k++ {
 			prefix := recordStore{id: v, n: s.n, full: true, records: s.records[:k]}
+			if k >= c.seeded {
+				prefix.nbrs = s.nbrs
+			}
 			if got, want := prefix.elect(), componentsRoot(s.n, v, s.records[:k], directed); got != want {
-				t.Fatalf("%s: vertex %d, first %d records: union-find root=%v, Components root=%v", name, v, k, got, want)
+				t.Fatalf("%s: vertex %d, first %d records: elected root=%v, Components root=%v", name, v, k, got, want)
 			}
 		}
 		if got, want := outputs[v].(collectOutput).root, componentsRoot(s.n, v, s.records, directed); got != want {
@@ -63,16 +77,16 @@ func checkElection(t *testing.T, name string, stores []*recordStore, outputs []i
 	}
 }
 
-func runCapturingCollect[G Kind](t *testing.T, g G) ([]*recordStore, *congest.Result) {
+func runCapturingCollect[G Kind](t *testing.T, g G) ([]captured, *congest.Result) {
 	t.Helper()
-	factory, budget, err := CollectFactory(g, 0, CollectSpec[G]{Eval: func(c G) (int64, error) { return int64(c.N()), nil }})
+	factory, budget, err := CollectFactory(g, 0, CollectSpec[G]{Eval: Stateless(func(c G) (int64, error) { return int64(c.N()), nil })})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := make([]*recordStore, g.N())
+	stores := make([]captured, g.N())
 	res, err := congest.Run(g, func(l congest.Local) congest.Node {
 		node := factory(l).(*collectNode[G])
-		stores[l.ID] = &node.recordStore
+		stores[l.ID] = captured{store: &node.recordStore, seeded: len(node.records)}
 		return node
 	}, congest.Options{MaxRounds: budget + 4})
 	if err != nil {
@@ -99,7 +113,12 @@ func TestUnionFindElectsComponentsRoots(t *testing.T) {
 	}
 	isolated := graph.New(5)
 	isolated.MustAddEdge(3, 4)
-	cases := map[string]*graph.Graph{"mdslb-zeros": zeros, "isolated": isolated, "edgeless": graph.New(4)}
+	// Vertex 1's only neighbor is larger, yet 0 shares its component:
+	// the fast path passes 1 to the union-find, which must not elect it.
+	path021 := graph.New(3)
+	path021.MustAddEdge(0, 2)
+	path021.MustAddEdge(2, 1)
+	cases := map[string]*graph.Graph{"mdslb-zeros": zeros, "isolated": isolated, "edgeless": graph.New(4), "path-0-2-1": path021}
 	for i := 0; i < 12; i++ {
 		// p from sparse (many components, isolated vertices) to dense.
 		cases["gnp-"+string(rune('a'+i))] = graph.Gnp(6+i, 0.05+0.04*float64(i), rng)
@@ -109,10 +128,21 @@ func TestUnionFindElectsComponentsRoots(t *testing.T) {
 		checkElection(t, name, stores, res.Outputs, false)
 	}
 
+	digraphs := map[string]*graph.Digraph{}
 	for i := 0; i < 12; i++ {
-		d := graph.RandomDigraph(6+i, 0.03+0.03*float64(i), rng)
+		digraphs["digraph-"+string(rune('a'+i))] = graph.RandomDigraph(6+i, 0.03+0.03*float64(i), rng)
+	}
+	// The 0-2-1 path on a digraph, with the arcs along and against it.
+	for _, arcs := range [][2][2]int{{{0, 2}, {2, 1}}, {{2, 0}, {1, 2}}} {
+		d := graph.NewDigraph(3)
+		for _, a := range arcs {
+			d.MustAddArc(a[0], a[1])
+		}
+		digraphs[fmt.Sprintf("digraph-path-0-2-1-%v", arcs)] = d
+	}
+	for name, d := range digraphs {
 		stores, res := runCapturingCollect(t, d)
-		checkElection(t, "digraph-"+string(rune('a'+i)), stores, res.Outputs, true)
+		checkElection(t, name, stores, res.Outputs, true)
 	}
 }
 
@@ -120,7 +150,7 @@ func TestUnionFindElectsComponentsRoots(t *testing.T) {
 // vertex at's record store after wakeup, and returns CollectTotal's error.
 func runInjected[G Kind](t *testing.T, g G, at int, inject func(s *recordStore)) error {
 	t.Helper()
-	factory, budget, err := CollectFactory(g, 0, CollectSpec[G]{Eval: func(G) (int64, error) { return 1, nil }})
+	factory, budget, err := CollectFactory(g, 0, CollectSpec[G]{Eval: Stateless(func(G) (int64, error) { return 1, nil })})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +214,8 @@ func collectPairAllocs[G Kind](t *testing.T, g G, spec CollectSpec[G]) float64 {
 
 // TestCollectPairAllocs pins the allocations of one certified pair
 // (x=1000, y=0100) of mds/collect and of hamlb/collect (n=42), the
-// program's two graph kinds.
+// program's two graph kinds, each with its root evaluator in a RootEval
+// as the reduction pairings wire it.
 func TestCollectPairAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin")
@@ -201,17 +232,22 @@ func TestCollectPairAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gamma := func(c *graph.Graph) (int64, error) {
+	gamma := &RootEval[*graph.Graph]{New: func() func(*graph.Graph) (int64, error) {
 		var o solver.MDSOracle
-		for s := 0; ; s++ {
-			if ok, err := o.HasDominatingSetOfSize(c, s); ok || err != nil {
-				return int64(s), err
+		return func(c *graph.Graph) (int64, error) {
+			for s := 0; ; s++ {
+				if ok, err := o.HasDominatingSetOfSize(c, s); ok || err != nil {
+					return int64(s), err
+				}
 			}
 		}
-	}
-	// ~2x the 368 measured with go1.24 on linux/amd64; building a graph
-	// at every vertex cost 1781.
-	if allocs, bound := collectPairAllocs(t, g, CollectSpec[*graph.Graph]{Eval: gamma}), 750.0; allocs > bound {
+	}}
+	// ~2x the 3 measured with go1.24 on linux/amd64: the Result, its
+	// outputs slice and the root's output. Node state, Local views, the
+	// reconstruction graph and the root's oracle all come back from the
+	// arena; one allocation per vertex would add 20, and a fresh node
+	// state per pair cost 368.
+	if allocs, bound := collectPairAllocs(t, g, CollectSpec[*graph.Graph]{Eval: gamma}), 6.0; allocs > bound {
 		t.Errorf("one mds/collect pair allocates %.0f times, want <= %.0f", allocs, bound)
 	}
 
@@ -224,19 +260,23 @@ func TestCollectPairAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, start, end := ham.N(), ham.Start(), ham.End()
-	path := func(c *graph.Digraph) (int64, error) {
-		if c.N() != n {
-			return 0, nil
+	path := &RootEval[*graph.Digraph]{New: func() func(*graph.Digraph) (int64, error) {
+		var o solver.HamiltonOracle
+		return func(c *graph.Digraph) (int64, error) {
+			if c.N() != n {
+				return 0, nil
+			}
+			found, err := o.HasDirectedHamiltonianPathFrom(c, start, end)
+			if err != nil || !found {
+				return 0, err
+			}
+			return 1, nil
 		}
-		_, found, err := solver.DirectedHamiltonianPathFrom(c, start, end)
-		if err != nil || !found {
-			return 0, err
-		}
-		return 1, nil
-	}
-	// ~2x the 848 measured with go1.24 on linux/amd64. One more
-	// allocation per vertex would add 42.
-	if allocs, bound := collectPairAllocs(t, d, CollectSpec[*graph.Digraph]{Eval: path}), 1700.0; allocs > bound {
+	}}
+	// ~2x the 3 measured with go1.24 on linux/amd64, as above. One
+	// allocation per vertex would add 42; a fresh node state per pair
+	// cost 848.
+	if allocs, bound := collectPairAllocs(t, d, CollectSpec[*graph.Digraph]{Eval: path}), 6.0; allocs > bound {
 		t.Errorf("one hamlb/collect pair allocates %.0f times, want <= %.0f", allocs, bound)
 	}
 }

@@ -92,7 +92,9 @@ func CollectRetryFactory(g *graph.Graph, bandwidth int, spec CollectSpec[*graph.
 	frame := 1 + wchunks
 	budget := RetryBudgetFactor * (frame*(records+n+2) + 4)
 	factory := func(local congest.Local) congest.Node {
-		return newCollectRetryNode(local, n, cw, budget, wchunks, records, spec)
+		c := reuse[collectRetryNode](local)
+		c.init(local, spec, n, cw, budget, wchunks, records)
+		return c
 	}
 	return factory, budget, nil
 }
@@ -109,19 +111,16 @@ type collectRetryNode struct {
 	arq []arq
 }
 
-func newCollectRetryNode(local congest.Local, n, cw, budget, wchunks, records int, spec CollectSpec[*graph.Graph]) *collectRetryNode {
-	c := &collectRetryNode{
-		collectNode: collectNode[*graph.Graph]{spec: spec},
-		arq:         make([]arq, len(local.Neighbors)),
-	}
-	c.init(local, n, cw, budget, wchunks, records)
+// init resets the node and its per-neighbor ARQ state for a run.
+func (c *collectRetryNode) init(local congest.Local, spec CollectSpec[*graph.Graph], n, cw, budget, wchunks, records int) {
+	c.collectNode.init(local, spec, n, cw, budget, wchunks, records)
+	c.arq = resized(c.arq, len(local.Neighbors))
 	for i := range c.arq {
 		// lastAcc starts opposite the first data sequence bit, so the ack
 		// on a frame sent before anything was accepted cannot advance the
 		// neighbor's stream.
 		c.arq[i].lastAcc = 1
 	}
-	return c
 }
 
 // Round ingests frames (acks advance our streams, fresh data chunks feed

@@ -34,12 +34,12 @@ func runCollectRetry(t *testing.T, g *graph.Graph, spec CollectSpec[*graph.Graph
 // graph equals want.
 func reconstructSpec(want string) CollectSpec[*graph.Graph] {
 	return CollectSpec[*graph.Graph]{
-		Eval: func(collected *graph.Graph) (int64, error) {
+		Eval: Stateless(func(collected *graph.Graph) (int64, error) {
 			if collected.Signature() == want {
 				return 1, nil
 			}
 			return 0, nil
-		},
+		}),
 	}
 }
 
@@ -175,7 +175,7 @@ func TestCollectRetryMinBandwidth(t *testing.T) {
 
 func TestCollectRetryRejectsNarrowBandwidth(t *testing.T) {
 	g := graph.Path(10)
-	if _, _, err := CollectRetryFactory(g, 8, CollectSpec[*graph.Graph]{Eval: func(*graph.Graph) (int64, error) { return 0, nil }}); err == nil {
+	if _, _, err := CollectRetryFactory(g, 8, CollectSpec[*graph.Graph]{Eval: Stateless(func(*graph.Graph) (int64, error) { return 0, nil })}); err == nil {
 		t.Error("bandwidth 8 accepted for n=10 (ids need 7 bits + 3 header)")
 	}
 	if _, _, err := CollectRetryFactory(graph.New(0), 0, CollectSpec[*graph.Graph]{}); err == nil {
@@ -193,7 +193,7 @@ func TestCollectRetryReplayDeterministic(t *testing.T) {
 	bw := CollectRetryMinBandwidth(g.N())
 	run := func() *congest.Result {
 		factory, budget, err := CollectRetryFactory(g, bw, CollectSpec[*graph.Graph]{
-			Eval: func(collected *graph.Graph) (int64, error) { return int64(collected.M()), nil },
+			Eval: Stateless(func(collected *graph.Graph) (int64, error) { return int64(collected.M()), nil }),
 		})
 		if err != nil {
 			t.Fatal(err)

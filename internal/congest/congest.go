@@ -54,6 +54,10 @@ type Incoming struct {
 // EdgeWeights is nil, Neighbors is the union of out- and in-neighbors,
 // and the out-arcs and in-arcs come with their weights (index-aligned,
 // sorted by the other endpoint's id).
+//
+// The five slices are served from the run's arena buffers: they are
+// read-only, and valid only until the next Run on the same Arena. A
+// program that keeps them beyond its run must copy them.
 type Local struct {
 	ID           int
 	N            int
@@ -65,6 +69,14 @@ type Local struct {
 	InWeights    []int64
 	VertexWeight int64
 	Data         interface{}
+	// Slot is this vertex's slot in the run's Arena, owned by the
+	// factory: it holds whatever the factory stored there on an earlier
+	// run over the same arena (nil on a fresh arena, and on every run
+	// without one). A factory may keep its node state there and reset it
+	// in place instead of allocating. Any factory may run on an arena, so
+	// it must check the type of what it finds, and a value it stores
+	// must not be shared with another vertex or another arena.
+	Slot *any
 }
 
 // Node is one vertex's program. Round is called once per synchronous round
@@ -128,12 +140,18 @@ type Options struct {
 // Arena is reusable per-run scratch for Run: every internal buffer the
 // simulator would otherwise allocate per run (a digraph's channel CSR,
 // the dense routing table, receive-slot map, cut classification,
-// double-buffered inboxes, fault rings, node table) is borrowed from the
-// arena and grown on demand, so steady-state reuse allocates only what
-// escapes the run (Local views and Result outputs). The zero value is
-// ready to use. An arena is not safe for concurrent use: give each
-// goroutine its own.
+// double-buffered inboxes, fault rings, node table, and the flat buffers
+// behind every vertex's Local view) is borrowed from the arena and grown
+// on demand, so steady-state reuse allocates only the Result and its
+// outputs slice, plus what the node programs allocate themselves. The
+// arena also keeps one factory-owned slot per vertex (Local.Slot) across
+// runs, where a program can keep its node state for reuse. The zero
+// value is ready to use. An arena is not safe for concurrent use: give
+// each goroutine its own.
 type Arena struct {
+	slots       []any
+	viewInts    []int
+	viewWts     []int64
 	nodes       []Node
 	chOffsets   []int32
 	chNbr       []int32
@@ -254,36 +272,77 @@ func buildChannels(d *graph.Digraph, out *graph.CSR, ar *Arena) channels {
 	return ch
 }
 
-// local builds v's wakeup view. A directed run finds v's in-arcs by
-// walking its sorted link window and keeping each u whose out-window
-// holds v, so they come out sorted with no sort; the weight is read from
-// u's out-window.
-func (net *network) local(v int) Local {
+// views hands out one run's Local views from the arena's flat buffers,
+// vertex by vertex in ascending order: a vertex's slices are consecutive
+// windows of ints (links, then out- and in-neighbors on a digraph) and
+// wts (edge weights, or out- and in-weights). Each window is capped at
+// its length, so an append by a node cannot reach a neighbor's view.
+type views struct {
+	slots []any
+	ints  []int
+	wts   []int64
+}
+
+// views sizes the buffers for every vertex of the run: one int per link
+// slot, and on a digraph two ints and two weights per arc.
+func (net *network) views(ar *Arena) views {
+	links := len(net.ch.nbr)
+	ints, wts := links, links
+	if net.d != nil {
+		ints, wts = links+2*net.d.M(), 2*net.d.M()
+	}
+	return views{
+		slots: arenaSlice(&ar.slots, net.n()),
+		ints:  arenaSlice(&ar.viewInts, ints),
+		wts:   arenaSlice(&ar.viewWts, wts),
+	}
+}
+
+func (vs *views) takeInts(k int) []int {
+	s := vs.ints[:k:k]
+	vs.ints = vs.ints[k:]
+	return s
+}
+
+func (vs *views) takeWts(k int) []int64 {
+	s := vs.wts[:k:k]
+	vs.wts = vs.wts[k:]
+	return s
+}
+
+// local builds v's wakeup view; calls must come in ascending v. A
+// directed run finds v's in-arcs by walking its sorted link window and
+// keeping each u whose out-window holds v, so they come out sorted with
+// no sort; the weight is read from u's out-window.
+func (vs *views) local(net *network, v int) Local {
 	links := net.ch.window(v)
-	local := Local{ID: v, Neighbors: make([]int, len(links))}
+	local := Local{ID: v, Neighbors: vs.takeInts(len(links)), Slot: &vs.slots[v]}
 	for i, u := range links {
 		local.Neighbors[i] = int(u)
 	}
 	if net.g != nil {
 		local.N, local.VertexWeight = net.g.N(), net.g.VertexWeight(v)
 		_, wts := net.adj.Window(v)
-		local.EdgeWeights = slices.Clone(wts)
+		local.EdgeWeights = vs.takeWts(len(wts))
+		copy(local.EdgeWeights, wts)
 		return local
 	}
 	local.N, local.VertexWeight = net.d.N(), net.d.VertexWeight(v)
 	onbrs, owts := net.adj.Window(v)
-	local.OutNeighbors = make([]int, len(onbrs))
+	local.OutNeighbors = vs.takeInts(len(onbrs))
 	for i, to := range onbrs {
 		local.OutNeighbors[i] = int(to)
 	}
-	local.OutWeights = slices.Clone(owts)
-	local.InNeighbors = make([]int, 0, net.d.InDegree(v))
-	local.InWeights = make([]int64, 0, net.d.InDegree(v))
+	local.OutWeights = vs.takeWts(len(owts))
+	copy(local.OutWeights, owts)
+	local.InNeighbors = vs.takeInts(net.d.InDegree(v))
+	local.InWeights = vs.takeWts(len(local.InNeighbors))
+	j := 0
 	for _, u := range links {
 		if r := net.adj.Rank(int(u), v); r >= 0 {
 			_, uw := net.adj.Window(int(u))
-			local.InNeighbors = append(local.InNeighbors, int(u))
-			local.InWeights = append(local.InWeights, uw[r])
+			local.InNeighbors[j], local.InWeights[j] = int(u), uw[r]
+			j++
 		}
 	}
 	return local
@@ -391,9 +450,10 @@ func Run[G *graph.Graph | *graph.Digraph](g G, factory Factory, opts Options) (*
 	slots := len(ch.nbr)
 
 	nodes := arenaSlice(&ar.nodes, n)
+	vs := net.views(ar)
 	//hardness:setup
 	for v := 0; v < n; v++ {
-		nodes[v] = factory(net.local(v))
+		nodes[v] = factory(vs.local(&net, v))
 	}
 
 	// Routing index: for the directed channel v -> to stored at slot s in

@@ -264,6 +264,11 @@ type Injector struct {
 	slotFailAt []int32 // per directed slot, bound by BindSlot
 	slotUsed   []int32 // per directed slot: budget-dropped messages so far
 	slotLast   []int32 // per directed slot: latest scheduled delivery round
+
+	// roundHash caches splitmix64(seed ^ hashedRound), the first link of
+	// every coin chain in a round (hashedRound is -1 before the first).
+	hashedRound int
+	roundHash   uint64
 }
 
 // NewInjector validates plan against an n-vertex network and compiles it
@@ -281,6 +286,8 @@ func NewInjector(plan *Plan, n, slots int) (*Injector, error) {
 		slotFailAt: make([]int32, slots),
 		slotUsed:   make([]int32, slots),
 		slotLast:   make([]int32, slots),
+
+		hashedRound: -1,
 	}
 	if plan.DropProb >= 1 {
 		// The coin comparison is strict, so even a MaxUint64 threshold
@@ -355,12 +362,15 @@ func (in *Injector) DeliverAt(round, from, to int, slot int32) (int, bool) {
 		in.slotUsed[slot]++
 		return 0, false
 	}
-	if in.dropThreshold > 0 && in.coin(round, from, to, 0) < in.dropThreshold {
-		return 0, false
-	}
 	at := round + 1
-	if in.maxDelay > 0 {
-		at += int(in.coin(round, from, to, 1) % uint64(in.maxDelay+1))
+	if in.dropThreshold > 0 || in.maxDelay > 0 {
+		prefix := in.link(round, from, to)
+		if in.dropThreshold > 0 && coin(prefix, 0) < in.dropThreshold {
+			return 0, false
+		}
+		if in.maxDelay > 0 {
+			at += int(coin(prefix, 1) % uint64(in.maxDelay+1))
+		}
 	}
 	// FIFO clamp: never overtake the previous message on this link. By
 	// induction the clamp stays within round+1+maxDelay (one message per
@@ -372,14 +382,20 @@ func (in *Injector) DeliverAt(round, from, to int, slot int32) (int, bool) {
 	return at, true
 }
 
-// coin is the order-independent decision hash: a splitmix64 chain over
-// (seed, round, from, to, stream).
-func (in *Injector) coin(round, from, to int, stream uint64) uint64 {
-	h := splitmix64(in.seed ^ uint64(round))
-	h = splitmix64(h ^ uint64(from))
-	h = splitmix64(h ^ uint64(to))
-	return splitmix64(h ^ stream)
+// The decision coins are an order-independent splitmix64 chain over
+// (seed, round, from, to, stream). link computes the chain's
+// (seed, round, from, to) prefix once per message, for both streams, and
+// the (seed, round) link once per round.
+func (in *Injector) link(round, from, to int) uint64 {
+	if round != in.hashedRound {
+		in.hashedRound, in.roundHash = round, splitmix64(in.seed^uint64(round))
+	}
+	return splitmix64(splitmix64(in.roundHash^uint64(from)) ^ uint64(to))
 }
+
+// coin finishes a link prefix's chain on one stream: 0 decides drops, 1
+// delays.
+func coin(prefix, stream uint64) uint64 { return splitmix64(prefix ^ stream) }
 
 // splitmix64 is the standard finalizing bit mixer.
 func splitmix64(x uint64) uint64 {

@@ -247,3 +247,25 @@ func TestNewInjectorRejectsInvalidPlan(t *testing.T) {
 		t.Errorf("NewInjector accepted an invalid plan (err=%v)", err)
 	}
 }
+
+// TestCoinsMatchTheChain pins the hoisted coins to the splitmix64 chain
+// over (seed, round, from, to, stream) that defines them, with rounds
+// visited out of order so the per-round cache is refreshed both ways.
+func TestCoinsMatchTheChain(t *testing.T) {
+	in, err := NewInjector(&Plan{Seed: 7, DropProb: 0.5, MaxDelay: 2}, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, round := range []int{0, 0, 5, 3, 3, 0, 1 << 20} {
+		for from := 0; from < 8; from++ {
+			for to := 0; to < 8; to++ {
+				for stream := uint64(0); stream < 2; stream++ {
+					want := splitmix64(splitmix64(splitmix64(splitmix64(in.seed^uint64(round))^uint64(from))^uint64(to)) ^ stream)
+					if got := coin(in.link(round, from, to), stream); got != want {
+						t.Fatalf("round %d, %d->%d, stream %d: coin %x, chain %x", round, from, to, stream, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -150,6 +150,38 @@ func (m *mutlog) buildPatchable() *CSR {
 	return c
 }
 
+// clear empties the graph to n isolated vertices of weight 1 in place,
+// as the kind's constructor would make it, keeping the adjacency storage
+// for reuse: recording stops, and the journals, the undo log and the
+// patchable snapshot are dropped.
+func (m *mutlog) clear(n int) {
+	m.adj = emptyLists(m.adj, n)
+	if cap(m.vw) < n {
+		m.vw = make([]int64, n)
+	}
+	m.vw = m.vw[:n]
+	for v := range m.vw {
+		m.vw[v] = 1
+	}
+	m.patched = nil
+	m.journalOn, m.undoOn = false, false
+	m.journal, m.undo = m.journal[:0], m.undo[:0]
+	m.vwJournal, m.vwUndo = m.vwJournal[:0], m.vwUndo[:0]
+}
+
+// emptyLists resizes lists to n empty adjacency lists, keeping each
+// list's storage.
+func emptyLists(lists [][]Half, n int) [][]Half {
+	if cap(lists) < n {
+		lists = append(lists[:cap(lists)], make([][]Half, n-cap(lists))...)
+	}
+	lists = lists[:n]
+	for v := range lists {
+		lists[v] = lists[v][:0]
+	}
+	return lists
+}
+
 // find validates the endpoints of a toggle and returns v's position in
 // u's adjacency list, or -1 when the edge (or arc) is absent.
 func (m *mutlog) find(u, v int) (int, error) {

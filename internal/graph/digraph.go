@@ -33,6 +33,13 @@ func NewDigraph(n int) *Digraph {
 	return d
 }
 
+// Clear makes d the digraph NewDigraph(n) returns, reusing d's storage
+// (see Graph.Clear).
+func (d *Digraph) Clear(n int) {
+	d.clear(n)
+	d.in = emptyLists(d.in, n)
+}
+
 // N returns the number of vertices.
 func (d *Digraph) N() int { return len(d.adj) }
 

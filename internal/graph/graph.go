@@ -72,6 +72,15 @@ func (g *Graph) M() int {
 	return total / 2
 }
 
+// Clear makes g the graph New(n) returns, reusing g's storage: n
+// isolated vertices of weight 1 and no edges. Journaling and the
+// MarkBase undo log stop, and cached snapshots are dropped. A program
+// that rebuilds a graph per run clears one instead of allocating.
+func (g *Graph) Clear(n int) {
+	g.clear(n)
+	g.csr.Store(nil)
+}
+
 // AddVertex appends a new isolated vertex of weight 1 and returns its index.
 func (g *Graph) AddVertex() int {
 	g.adj = append(g.adj, nil)

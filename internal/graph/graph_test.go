@@ -539,3 +539,61 @@ func TestStructuralHashesTrackSignatures(t *testing.T) {
 		cutToHash[cutSig] = cut
 	}
 }
+
+// TestClearMatchesNew: a cleared graph of either kind, rebuilt, equals
+// the same build on a fresh graph, whatever the cleared graph held
+// (more or fewer vertices, vertex weights, a frozen or patchable
+// snapshot, a journal and an undo log).
+func TestClearMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g, d := New(0), NewDigraph(0)
+	for _, n := range []int{9, 4, 12, 1, 7} {
+		fresh, freshD := Gnp(n, 0.4, rng), RandomDigraph(n, 0.3, rng)
+		g.Clear(n)
+		for _, e := range fresh.Edges() {
+			g.MustAddWeightedEdge(e.U, e.V, e.Weight)
+		}
+		d.Clear(n)
+		for _, a := range freshD.Arcs() {
+			d.MustAddWeightedArc(a.From, a.To, a.Weight)
+		}
+		if got, want := fmt.Sprint(g.Edges(), g.N(), g.TotalVertexWeight()), fmt.Sprint(fresh.Edges(), fresh.N(), fresh.TotalVertexWeight()); got != want {
+			t.Fatalf("n=%d: cleared graph rebuilt to %s, fresh build is %s", n, got, want)
+		}
+		if got, want := d.String()+fmt.Sprint(d.Arcs(), d.Underlying().TotalVertexWeight()), freshD.String()+fmt.Sprint(freshD.Arcs(), freshD.Underlying().TotalVertexWeight()); got != want {
+			t.Fatalf("n=%d: cleared digraph rebuilt to %s, fresh build is %s", n, got, want)
+		}
+		for v := 0; v < n; v++ {
+			if len(d.InNeighbors(v)) != len(freshD.InNeighbors(v)) {
+				t.Fatalf("n=%d: cleared digraph has in-degree %d at %d, fresh build %d", n, len(d.InNeighbors(v)), v, len(freshD.InNeighbors(v)))
+			}
+		}
+		// Leave state behind for the next Clear to drop.
+		g.Freeze()
+		g.StartJournal()
+		g.MarkBase()
+		d.FreezePatchable()
+		d.StartJournal()
+		if n > 0 {
+			if err := g.SetVertexWeight(0, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetVertexWeight(n-1, 9); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(g.Journal()) != 0 || len(g.VertexJournal()) != 2 {
+		t.Fatalf("journal before Clear: %d edge, %d vertex entries", len(g.Journal()), len(g.VertexJournal()))
+	}
+	g.Clear(3)
+	if err := g.SetVertexWeight(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.VertexJournal()) != 0 {
+		t.Errorf("Clear left journaling on: %d vertex entries after a weight change", len(g.VertexJournal()))
+	}
+	if err := g.Reset(); err != nil || g.VertexWeight(0) != 2 {
+		t.Errorf("Clear left the undo log on: Reset gave err %v, weight %d, want nil and 2", err, g.VertexWeight(0))
+	}
+}

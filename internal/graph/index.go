@@ -77,13 +77,16 @@ func fillCSR(c *CSR, adj [][]Half, slack int) *CSR {
 	}
 	c.nbr = make([]int32, total)
 	c.wt = make([]int64, total)
+	// One window, re-aimed at each vertex: sort.Sort boxes it once per
+	// snapshot rather than once per vertex.
+	window := new(csrWindow)
 	for v, nbrs := range adj {
 		base := int(c.offsets[v])
 		for i, h := range nbrs {
 			c.nbr[base+i] = int32(h.To)
 			c.wt[base+i] = h.Weight
 		}
-		window := csrWindow{nbr: c.nbr[base : base+len(nbrs)], wt: c.wt[base : base+len(nbrs)]}
+		window.nbr, window.wt = c.nbr[base:base+len(nbrs)], c.wt[base:base+len(nbrs)]
 		sort.Sort(window)
 	}
 	return c

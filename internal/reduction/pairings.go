@@ -25,11 +25,13 @@ import (
 // kind, built by build (algorithms.CollectFactory, or the retransmitting
 // algorithms.CollectRetryFactory): eval computes a component-additive
 // quantity at each (weak) component root (the domination number, a
-// greedy set size, a Hamiltonian path indicator) and answer turns the
-// summed total into the predicate decision.
+// greedy set size, a Hamiltonian path indicator), and answer turns the
+// summed total into the predicate decision. Every pair shares eval, so
+// each sweep worker's root keeps the evaluator, and its solver scratch,
+// that it made on its first pair (see algorithms.RootEval).
 func collectAlgorithm[G lbfamily.Instance](name string, exact bool,
 	build func(g G, bandwidth int, spec algorithms.CollectSpec[G]) (congest.Factory, int, error),
-	eval func(component G) (int64, error), answer func(total int64) bool) AlgorithmOf[G] {
+	eval *algorithms.RootEval[G], answer func(total int64) bool) AlgorithmOf[G] {
 	return AlgorithmOf[G]{
 		Name:  name,
 		Exact: exact,
@@ -49,23 +51,25 @@ func collectAlgorithm[G lbfamily.Instance](name string, exact bool,
 	}
 }
 
-// dominationNumber computes γ(g) exactly via the solver's decision
-// oracle. One arena-backed MDSOracle serves all n+1 size queries, so the
-// search allocates its solver scratch once per evaluation instead of
-// once per query — the eval runs inside every certified pair's collect
-// program, so this is certify-sweep hot.
-func dominationNumber(g *graph.Graph) (int64, error) {
+// newDominationNumber makes an evaluator that computes γ(g) exactly via
+// the solver's decision oracle. Its one arena-backed MDSOracle serves all
+// n+1 size queries of every evaluation, growing only when a component
+// outsizes every earlier one — the eval runs inside every certified
+// pair's collect program, so this is certify-sweep hot.
+func newDominationNumber() func(g *graph.Graph) (int64, error) {
 	var o solver.MDSOracle
-	for s := 0; s <= g.N(); s++ {
-		ok, err := o.HasDominatingSetOfSize(g, s)
-		if err != nil {
-			return 0, err
+	return func(g *graph.Graph) (int64, error) {
+		for s := 0; s <= g.N(); s++ {
+			ok, err := o.HasDominatingSetOfSize(g, s)
+			if err != nil {
+				return 0, err
+			}
+			if ok {
+				return int64(s), nil
+			}
 		}
-		if ok {
-			return int64(s), nil
-		}
+		return 0, fmt.Errorf("no dominating set up to n=%d", g.N())
 	}
-	return 0, fmt.Errorf("no dominating set up to n=%d", g.N())
 }
 
 // CollectMDS decides the Theorem 2.1 predicate exactly by collecting the
@@ -73,7 +77,7 @@ func dominationNumber(g *graph.Graph) (int64, error) {
 // (γ is component-additive): the O(m + D) upper bound the Ω̃(n²) lower
 // bound nearly matches. Certify reports zero mismatches.
 func CollectMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
-	return collectAlgorithm("collect", true, algorithms.CollectFactory, dominationNumber,
+	return collectAlgorithm("collect", true, algorithms.CollectFactory, &algorithms.RootEval[*graph.Graph]{New: newDominationNumber},
 		func(total int64) bool { return total <= int64(fam.TargetSize()) })
 }
 
@@ -87,7 +91,7 @@ func CollectMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 // — the retry budget exceeds the simulator's default guard on small
 // graphs.
 func CollectRetryMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
-	return collectAlgorithm("collect-retry", true, algorithms.CollectRetryFactory, dominationNumber,
+	return collectAlgorithm("collect-retry", true, algorithms.CollectRetryFactory, &algorithms.RootEval[*graph.Graph]{New: newDominationNumber},
 		func(total int64) bool { return total <= int64(fam.TargetSize()) })
 }
 
@@ -98,13 +102,13 @@ func CollectRetryMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 // the gap the paper's Section 2.1 hardness separates.
 func GreedyMDS(fam *mdslb.Family) AlgorithmOf[*graph.Graph] {
 	return collectAlgorithm("greedy", false, algorithms.CollectFactory,
-		func(component *graph.Graph) (int64, error) {
+		algorithms.Stateless(func(component *graph.Graph) (int64, error) {
 			set, _, err := algorithms.GreedyMDS(component)
 			if err != nil {
 				return 0, err
 			}
 			return int64(len(set)), nil
-		},
+		}),
 		func(total int64) bool { return total <= int64(fam.TargetSize()) })
 }
 
@@ -138,6 +142,16 @@ func SampledMaxCut(fam *maxcutlb.Family, p float64) (AlgorithmOf[*graph.Graph], 
 		return AlgorithmOf[*graph.Graph]{}, fmt.Errorf("sampling probability %v out of (0,1]", p)
 	}
 	threshold := int64(math.Ceil(p * float64(fam.Target())))
+	root := &algorithms.RootEval[*graph.Graph]{New: func() func(*graph.Graph) (int64, error) {
+		var o solver.MaxCutOracle
+		return func(collected *graph.Graph) (int64, error) {
+			ok, err := o.HasCutOfWeight(collected, threshold)
+			if err != nil || !ok {
+				return 0, err
+			}
+			return 1, nil
+		}
+	}}
 	return AlgorithmOf[*graph.Graph]{
 		Name:  fmt.Sprintf("sampled-maxcut(p=%.2f)", p),
 		Exact: p == 1,
@@ -151,17 +165,7 @@ func SampledMaxCut(fam *maxcutlb.Family, p float64) (AlgorithmOf[*graph.Graph], 
 				coin := splitmix64(uint64(seed) ^ splitmix64(uint64(u)*uint64(g.N())+uint64(v)))
 				return coin < uint64(p*float64(math.MaxUint64))
 			}
-			spec := algorithms.CollectSpec[*graph.Graph]{
-				Keep: keep,
-				Eval: func(collected *graph.Graph) (int64, error) {
-					ok, err := solver.HasCutOfWeight(collected, threshold)
-					if err != nil || !ok {
-						return 0, err
-					}
-					return 1, nil
-				},
-			}
-			factory, _, err := algorithms.CollectFactory(g, bandwidth, spec)
+			factory, _, err := algorithms.CollectFactory(g, bandwidth, algorithms.CollectSpec[*graph.Graph]{Keep: keep, Eval: root})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -23,16 +23,19 @@ import (
 func CollectHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 	n, start, end := fam.N(), fam.Start(), fam.End()
 	return collectAlgorithm("collect", true, algorithms.CollectFactory,
-		func(component *graph.Digraph) (int64, error) {
-			if component.N() != n {
-				return 0, nil
+		&algorithms.RootEval[*graph.Digraph]{New: func() func(*graph.Digraph) (int64, error) {
+			var o solver.HamiltonOracle
+			return func(component *graph.Digraph) (int64, error) {
+				if component.N() != n {
+					return 0, nil
+				}
+				found, err := o.HasDirectedHamiltonianPathFrom(component, start, end)
+				if err != nil || !found {
+					return 0, err
+				}
+				return 1, nil
 			}
-			_, found, err := solver.DirectedHamiltonianPathFrom(component, start, end)
-			if err != nil || !found {
-				return 0, err
-			}
-			return 1, nil
-		},
+		}},
 		func(total int64) bool { return total >= 1 })
 }
 
@@ -45,7 +48,7 @@ func CollectHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 func GreedyHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 	n, start, end := fam.N(), fam.Start(), fam.End()
 	return collectAlgorithm("greedy-path", false, algorithms.CollectFactory,
-		func(component *graph.Digraph) (int64, error) {
+		algorithms.Stateless(func(component *graph.Digraph) (int64, error) {
 			if component.N() != n {
 				return 0, nil
 			}
@@ -53,7 +56,7 @@ func GreedyHamPath(fam *hamlb.Family) AlgorithmOf[*graph.Digraph] {
 				return 1, nil
 			}
 			return 0, nil
-		},
+		}),
 		func(total int64) bool { return total >= 1 })
 }
 
@@ -92,15 +95,18 @@ func CollectDirSteiner(fam *kmdslb.DirSteinerFamily) AlgorithmOf[*graph.Digraph]
 	n, root := fam.Inner.N(), fam.Inner.Root()
 	terminals := fam.Terminals()
 	return collectAlgorithm("collect", true, algorithms.CollectFactory,
-		func(component *graph.Digraph) (int64, error) {
-			if component.N() != n {
-				return 0, nil
+		&algorithms.RootEval[*graph.Digraph]{New: func() func(*graph.Digraph) (int64, error) {
+			var o solver.DirSteinerOracle
+			return func(component *graph.Digraph) (int64, error) {
+				if component.N() != n {
+					return 0, nil
+				}
+				ok, err := o.HasDirectedSteinerWithin(component, root, terminals, 2)
+				if err != nil || !ok {
+					return 0, err
+				}
+				return 1, nil
 			}
-			ok, err := solver.HasDirectedSteinerWithin(component, root, terminals, 2)
-			if err != nil || !ok {
-				return 0, err
-			}
-			return 1, nil
-		},
+		}},
 		func(total int64) bool { return total >= 1 })
 }

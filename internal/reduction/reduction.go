@@ -47,7 +47,7 @@ const MaxExhaustiveCertifyK = 8
 type Config struct {
 	// Pairs is the number of sampled (x, y) pairs; 0 selects exhaustive
 	// certification over all 2^(2K) pairs, which requires
-	// K <= MaxExhaustiveCertifyK.
+	// K <= MaxExhaustiveCertifyK. Negative counts are rejected.
 	Pairs int
 	// Seed drives pair sampling and the per-pair algorithm seeds. A
 	// pair's seed is a pure function of (Seed, idx), where idx is the
@@ -114,9 +114,10 @@ type Config struct {
 	// exact prefix of the sweep order.
 	Serial bool
 	// Workers caps the sharded sweep's worker count; 0 selects
-	// GOMAXPROCS. Each worker holds a private instance (DeltaFamily base
-	// or per-pair rebuilds) and a private simulator arena, so memory
-	// scales linearly with Workers. Ignored when Serial is set.
+	// GOMAXPROCS, and negative counts are rejected. Each worker holds a
+	// private instance (DeltaFamily base or per-pair rebuilds) and a
+	// private simulator arena, so memory scales linearly with Workers.
+	// Ignored when Serial is set.
 	Workers int
 }
 
@@ -209,6 +210,12 @@ func Certify[G lbfamily.Instance](fam lbfamily.Family[G], alg AlgorithmOf[G], cf
 func CertifyCtx[G lbfamily.Instance](ctx context.Context, fam lbfamily.Family[G], alg AlgorithmOf[G], cfg Config) (*Report, error) {
 	if alg.Prepare == nil {
 		return nil, fmt.Errorf("algorithm %q has no Prepare", alg.Name)
+	}
+	if cfg.Pairs < 0 {
+		return nil, fmt.Errorf("negative pair count %d: set Pairs > 0 to sample, or 0 for the exhaustive sweep", cfg.Pairs)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("negative worker count %d: set Workers > 0, or 0 for GOMAXPROCS", cfg.Workers)
 	}
 	side, err := lbfamily.AliceSide(fam)
 	if err != nil {
@@ -453,7 +460,7 @@ func (r *Report) checkBound() error {
 // the two corner pairs plus deduplicated random draws up to cfg.Pairs
 // total.
 func certifyPairs(k int, cfg Config) (xs, ys []comm.Bits, exhaustive bool, err error) {
-	if cfg.Pairs <= 0 {
+	if cfg.Pairs == 0 {
 		if k > MaxExhaustiveCertifyK {
 			return nil, nil, false, fmt.Errorf("exhaustive certification limited to K <= %d, got %d: 2^(2K) CONGEST runs exceed the sharded sweep's budget even across all cores; set Config.Pairs > 0 for sampled certification, which costs Pairs runs instead", MaxExhaustiveCertifyK, k)
 		}

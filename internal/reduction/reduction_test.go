@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"congesthard/internal/comm"
+	"congesthard/internal/congest"
 	"congesthard/internal/constructions/hamlb"
 	"congesthard/internal/constructions/maxcutlb"
 	"congesthard/internal/constructions/mdslb"
@@ -222,6 +223,37 @@ func TestCertifyExhaustiveRequiresSmallK(t *testing.T) {
 	}
 	if _, err := Certify(fam, CollectMDS(fam), Config{Pairs: 3, Seed: 9}); err != nil {
 		t.Errorf("sampled certification at K=16 failed: %v", err)
+	}
+}
+
+// TestCertifyRejectsNegativeCounts: a negative Pairs used to run the
+// exhaustive sweep, and a negative Workers was taken as GOMAXPROCS; both
+// are configuration errors, raised before any pair runs, serial or not.
+func TestCertifyRejectsNegativeCounts(t *testing.T) {
+	fam, err := mdslb.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Pairs: -3}, "negative pair count -3"},
+		{Config{Pairs: -1, Serial: true}, "negative pair count -1"},
+		{Config{Workers: -2}, "negative worker count -2"},
+		{Config{Pairs: 4, Workers: -1, Serial: true}, "negative worker count -1"},
+	} {
+		ran := false
+		alg := CollectMDS(fam)
+		prepare := alg.Prepare
+		alg.Prepare = func(g *graph.Graph, bandwidth int, seed int64) (congest.Factory, func(*congest.Result) (bool, error), error) {
+			ran = true
+			return prepare(g, bandwidth, seed)
+		}
+		rep, err := Certify(fam, alg, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) || rep != nil || ran {
+			t.Errorf("%+v: report %v, err %v, ran a pair %v; want no report and an error naming %q", c.cfg, rep, err, ran, c.want)
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func TestVerifySimulationOnFamilyInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory, _, err := algorithms.CollectFactory(g, 0, algorithms.CollectSpec[*graph.Graph]{
-		Eval: func(component *graph.Graph) (int64, error) { return int64(component.M()), nil },
+		Eval: algorithms.Stateless(func(component *graph.Graph) (int64, error) { return int64(component.M()), nil }),
 	})
 	if err != nil {
 		t.Fatal(err)

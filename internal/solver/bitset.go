@@ -23,6 +23,15 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
+// fitBitset returns b resized to hold n bits, reusing its storage when
+// the capacity allows; the contents are unspecified.
+func fitBitset(b bitset, n int) bitset {
+	if w := (n + 63) / 64; cap(b) >= w {
+		return b[:w]
+	}
+	return newBitset(n)
+}
+
 func (b bitset) get(i int) bool { return b[i/64]>>(uint(i)%64)&1 == 1 }
 
 func (b bitset) set(i int) { b[i/64] |= uint64(1) << (uint(i) % 64) }

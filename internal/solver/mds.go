@@ -148,20 +148,39 @@ func (o *MDSOracle) solve(g *graph.Graph, targets []int, cap int64, unit bool) (
 	return weight, set, found, nil
 }
 
-// grow (re)sizes the arena for n-vertex graphs.
+// grow sizes the arena for n-vertex graphs. It allocates only past the
+// capacity earlier sizes left; a smaller graph reslices the same storage,
+// so an oracle reused across components of varying size settles at the
+// largest.
 func (o *MDSOracle) grow(n int) {
 	if o.n == n {
 		return
 	}
 	o.n = n
-	o.closed = make([]bitset, n)
+	o.closed = extend(o.closed, n)
 	for v := range o.closed {
-		o.closed[v] = newBitset(n)
+		o.closed[v] = fitBitset(o.closed[v], n)
 	}
-	o.candidatesOf = make([][]int, n)
-	o.scratch = make([]bitset, n+1)
-	o.current = make([]int, 0, n)
-	o.initBuf = newBitset(n)
+	o.candidatesOf = extend(o.candidatesOf, n)
+	o.scratch = extend(o.scratch, n+1)
+	for i, b := range o.scratch {
+		if b != nil { // made on first use by search and recurse
+			o.scratch[i] = fitBitset(b, n)
+		}
+	}
+	if cap(o.current) < n {
+		o.current = make([]int, 0, n)
+	}
+	o.initBuf = fitBitset(o.initBuf, n)
+}
+
+// extend returns s with length n, keeping every element its capacity
+// holds (including those past its length) for reuse.
+func extend[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 func (o *MDSOracle) vw(v int) int64 {

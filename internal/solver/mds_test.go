@@ -176,3 +176,49 @@ func TestIsDominatingSetValidation(t *testing.T) {
 		t.Error("endpoint of P3 does not dominate vertex 2")
 	}
 }
+
+// TestMDSOracleAcrossSizes reuses one MDSOracle on graphs whose sizes
+// cross the 64-vertex bitset word both ways, so its arena is resliced
+// down to fewer words and grown back: every answer must match the
+// known domination number. Each graph is a disjoint union of stars
+// (γ = the number of stars), and the oracle may grow only while the
+// sizes exceed every earlier one.
+func TestMDSOracleAcrossSizes(t *testing.T) {
+	stars := func(sizes ...int) *graph.Graph {
+		n := 0
+		for _, s := range sizes {
+			n += s
+		}
+		g := graph.New(n)
+		base := 0
+		for _, s := range sizes {
+			for leaf := 1; leaf < s; leaf++ {
+				g.MustAddEdge(base, base+leaf)
+			}
+			base += s
+		}
+		return g
+	}
+	cases := [][]int{{40, 30}, {3, 2}, {50, 50, 30}, {33, 33}, {4, 4, 1}, {40, 30}, {130}}
+	var o MDSOracle
+	for _, sizes := range cases {
+		g := stars(sizes...)
+		gamma := len(sizes)
+		for _, q := range []struct {
+			size int
+			want bool
+		}{{gamma, true}, {gamma - 1, false}} {
+			got, err := o.HasDominatingSetOfSize(g, q.size)
+			if err != nil || got != q.want {
+				t.Fatalf("stars %v (n=%d): size %d answered (%v, %v), want %v", sizes, g.N(), q.size, got, err, q.want)
+			}
+		}
+	}
+	small, large := stars(4, 4, 1), stars(50, 50, 30)
+	if allocs := testing.AllocsPerRun(5, func() {
+		_, _ = o.HasDominatingSetOfSize(small, 3)
+		_, _ = o.HasDominatingSetOfSize(large, 3)
+	}); allocs != 0 {
+		t.Errorf("alternating a 9- and a 130-vertex query allocated %v times, want 0 once grown", allocs)
+	}
+}
